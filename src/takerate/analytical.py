@@ -62,12 +62,12 @@ class ModelParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.s1 + self.s2 > 1.0:
             raise ValueError("s1 + s2 must not exceed 1")
-        if self.d < 0.0:
-            raise ValueError("d must be nonnegative")
+        if not (self.d >= 0.0 and math.isfinite(self.d)):
+            raise ValueError(f"d must be finite and nonnegative, got {self.d}")
         if not 0.0 <= self.f < 1.0:
             raise ValueError("f must lie in [0, 1)")
-        if self.V <= 0.0:
-            raise ValueError("V must be positive")
+        if not (self.V > 0.0 and math.isfinite(self.V)):
+            raise ValueError(f"V must be finite and positive, got {self.V}")
 
 
 @dataclass(frozen=True)

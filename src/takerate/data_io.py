@@ -45,6 +45,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("size_mu", "size_sigma", "direction_bias"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.n_trades < 1:
             raise ValueError("n_trades must be at least 1")
         if self.size_sigma < 0.0:
@@ -75,6 +79,11 @@ class ScenarioConfig:
     synthetic: Optional[SyntheticSpec] = None
 
     def __post_init__(self) -> None:
+        for name in ("t2", "s1", "s2", "d", "f", "L_total",
+                     "take_step", "liquidity_step", "deviation_threshold"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         for name in ("t2", "s1", "s2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -10,9 +10,13 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    trip, if any, is executed.
 3. find_equilibrium scans a discrete grid of liquidity splits for the point
    where r1*(1+d) = r2, capturing full migration to either pool at the grid
-   edges.
+   edges.  The replay tallies it reads come from a cell table keyed by grid
+   index, plus one single-pool entry per edge, filled on first use.
 4. sweep_take_rate repeats the equilibrium search across a take-rate grid
-   and reports the revenue curve.
+   and reports the revenue curve.  A replay does not depend on t1, t2 or d,
+   which enter only the residual (1-t1)*fee1/L1*(1+d) - (1-t2)*fee2/L2 and
+   rev1, so the sweep labels the trace once and every take rate searches
+   the same table: each split is replayed at most once per sweep.
 
 Volumes and fee revenue are accounted in token-0 units; token-1 legs convert
 at the pool's pre-trade marginal price.  Pools are constructed balanced at a
@@ -386,19 +390,161 @@ def simulate_trades(
     return outcome
 
 
-def _boundary_result(
-    params: ModelParams, compiled, L_total: float, total_volume: float, side: int
-) -> EquilibriumResult:
+class _CellTable:
+    """Replay tallies of one labelled trace, filled lazily by liquidity split.
+
+    A replay depends on the split, the fee, L_total, the threshold and the
+    labels, but not on t1, t2 or d, so one table serves every take rate of a
+    sweep.  Grid cells are keyed by index i (share i * step); the two
+    boundary entries hold the single-pool replay with all liquidity in pool
+    1 or pool 2.  Replays go through the module-level _replay_two and
+    _replay_single.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        trades: Sequence[TradeEvent],
+        L_total: float,
+        liquidity_step: float,
+        seed: int,
+        deviation_threshold: float,
+    ) -> None:
+        """Validate the search inputs and label the trace with params.s1/s2."""
+        if L_total <= 0.0:
+            raise ValueError("L_total must be positive")
+        if not 0.0 < liquidity_step <= 0.5:
+            raise ValueError("liquidity_step must lie in (0, 0.5]")
+        if params.f <= 0.0:
+            raise ValueError("the simulation needs a positive trading fee to compare ROIs")
+        self.compiled = _compile(assign_sticky(trades, params.s1, params.s2, seed))
+        self.L_total = L_total
+        self.f = params.f
+        self.step = liquidity_step
+        self.threshold = deviation_threshold
+        self.m = round(1.0 / liquidity_step)
+        self.total_volume = sum(amt for _, amt, _ in self.compiled)
+        self._cells: dict = {}
+        self._boundaries: dict = {}
+
+    def replay(self, l1: float):
+        """_replay_two tallies at share l1, uncached (refine's off-grid points)."""
+        L1 = l1 * self.L_total
+        L2 = (1.0 - l1) * self.L_total
+        return _replay_two(
+            L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold
+        )
+
+    def cell(self, i: int):
+        """_replay_two tallies at grid share i * step."""
+        tallies = self._cells.get(i)
+        if tallies is None:
+            tallies = self._cells[i] = self.replay(i * self.step)
+        return tallies
+
+    def boundary(self, side: int):
+        """_replay_single tallies with all liquidity in pool `side`."""
+        tallies = self._boundaries.get(side)
+        if tallies is None:
+            tallies = self._boundaries[side] = _replay_single(
+                self.L_total, self.L_total, self.f, self.compiled, own_label=side
+            )
+        return tallies
+
+
+def _boundary_result(params: ModelParams, table: _CellTable, side: int) -> EquilibriumResult:
     """All liquidity in pool `side`; the other pool's loyalists reroute."""
     t_own = params.t1 if side == 1 else params.t2
-    _, _, _, _, vol, fee, _ = _replay_single(
-        L_total, L_total, params.f, compiled, own_label=side
-    )
-    r_own = (1.0 - t_own) * fee / L_total
-    rev1 = params.t1 * fee / (total_volume * params.f) if side == 1 else 0.0
+    _, _, _, _, vol, fee, _ = table.boundary(side)
+    r_own = (1.0 - t_own) * fee / table.L_total
+    rev1 = params.t1 * fee / (table.total_volume * params.f) if side == 1 else 0.0
     if side == 1:
         return EquilibriumResult(l1=1.0, v1=vol, v2=0.0, r1=r_own, r2=None, rev1=rev1)
     return EquilibriumResult(l1=0.0, v1=0.0, v2=vol, r1=None, r2=r_own, rev1=rev1)
+
+
+def _search(
+    params: ModelParams, table: _CellTable, *, full_scan: bool = False, refine: bool = False
+) -> EquilibriumResult:
+    """The equilibrium search of find_equilibrium over one cell table."""
+    L_total = table.L_total
+    step = table.step
+    one_minus_t1 = 1.0 - params.t1
+    one_minus_t2 = 1.0 - params.t2
+    one_plus_d = 1.0 + params.d
+
+    def evaluate(l1: float, tallies):
+        L1 = l1 * L_total
+        L2 = (1.0 - l1) * L_total
+        vol1, vol2, fee1, fee2, arb_vol1, arb_vol2 = tallies[8:14]
+        r1 = one_minus_t1 * fee1 / L1
+        r2 = one_minus_t2 * fee2 / L2
+        residual = r1 * one_plus_d - r2
+        result = EquilibriumResult(
+            l1=l1,
+            v1=vol1 - arb_vol1,
+            v2=vol2 - arb_vol2,
+            r1=r1,
+            r2=r2,
+            rev1=params.t1 * fee1 / (table.total_volume * params.f),
+        )
+        return residual, result
+
+    def cell(i: int):
+        return evaluate(i * step, table.cell(i))
+
+    m = table.m
+    low_i, high_i = 1, m - 1
+    res_low, cell_low = cell(low_i)
+    res_high, cell_high = cell(high_i)
+
+    if res_high > 0.0:
+        return _boundary_result(params, table, side=1)
+    if res_low < 0.0:
+        return _boundary_result(params, table, side=2)
+
+    evaluated = {low_i: (res_low, cell_low), high_i: (res_high, cell_high)}
+    if full_scan:
+        for i in range(low_i + 1, high_i):
+            evaluated[i] = cell(i)
+    else:
+        # res decreases with the share: maintain res(low) >= 0 >= res(high)
+        while high_i - low_i > 1:
+            mid = (low_i + high_i) // 2
+            evaluated[mid] = cell(mid)
+            if evaluated[mid][0] > 0.0:
+                low_i = mid
+            else:
+                high_i = mid
+
+    best_i = min(evaluated, key=lambda i: (abs(evaluated[i][0]), -i))
+    # ties within 1e-12 go to the larger share
+    best_abs = abs(evaluated[best_i][0])
+    for i, (res, _) in evaluated.items():
+        if i > best_i and abs(res) <= best_abs + 1e-12:
+            best_i = i
+
+    if refine:
+        if full_scan:
+            positive = [i for i, (res, _) in evaluated.items() if res > 0.0]
+            nonpositive = [i for i, (res, _) in evaluated.items() if res <= 0.0]
+            low_i = max(positive) if positive else 1
+            high_i = min(nonpositive) if nonpositive else m - 1
+        lo = low_i * step
+        hi = high_i * step
+        best_res, best_cell = evaluated[best_i]
+        for _ in range(30):
+            midpoint = 0.5 * (lo + hi)
+            res_mid, cell_mid = evaluate(midpoint, table.replay(midpoint))
+            if abs(res_mid) < abs(best_res):
+                best_res, best_cell = res_mid, cell_mid
+            if res_mid > 0.0:
+                lo = midpoint
+            else:
+                hi = midpoint
+        return best_cell
+
+    return evaluated[best_i][1]
 
 
 def find_equilibrium(
@@ -424,94 +570,8 @@ def find_equilibrium(
     the grid resolution afterwards (off by default, matching the discrete
     procedure).
     """
-    if L_total <= 0.0:
-        raise ValueError("L_total must be positive")
-    if not 0.0 < liquidity_step <= 0.5:
-        raise ValueError("liquidity_step must lie in (0, 0.5]")
-    if params.f <= 0.0:
-        raise ValueError("the simulation needs a positive trading fee to compare ROIs")
-    labeled = assign_sticky(trades, params.s1, params.s2, seed)
-    compiled = _compile(labeled)
-    total_volume = sum(amt for _, amt, _ in compiled)
-
-    one_minus_t1 = 1.0 - params.t1
-    one_minus_t2 = 1.0 - params.t2
-    one_plus_d = 1.0 + params.d
-
-    def cell(l1: float):
-        L1 = l1 * L_total
-        L2 = (1.0 - l1) * L_total
-        tallies = _replay_two(
-            L1, L1, params.f, L2, L2, params.f, compiled, deviation_threshold
-        )
-        vol1, vol2, fee1, fee2, arb_vol1, arb_vol2 = tallies[8:14]
-        r1 = one_minus_t1 * fee1 / L1
-        r2 = one_minus_t2 * fee2 / L2
-        residual = r1 * one_plus_d - r2
-        result = EquilibriumResult(
-            l1=l1,
-            v1=vol1 - arb_vol1,
-            v2=vol2 - arb_vol2,
-            r1=r1,
-            r2=r2,
-            rev1=params.t1 * fee1 / (total_volume * params.f),
-        )
-        return residual, result
-
-    m = round(1.0 / liquidity_step)
-    if m < 2:
-        raise ValueError("liquidity_step must allow at least one interior grid point")
-    low_i, high_i = 1, m - 1
-    res_low, cell_low = cell(low_i * liquidity_step)
-    res_high, cell_high = cell(high_i * liquidity_step)
-
-    if res_high > 0.0:
-        return _boundary_result(params, compiled, L_total, total_volume, side=1)
-    if res_low < 0.0:
-        return _boundary_result(params, compiled, L_total, total_volume, side=2)
-
-    evaluated = {low_i: (res_low, cell_low), high_i: (res_high, cell_high)}
-    if full_scan:
-        for i in range(low_i + 1, high_i):
-            evaluated[i] = cell(i * liquidity_step)
-    else:
-        # res decreases with the share: maintain res(low) >= 0 >= res(high)
-        while high_i - low_i > 1:
-            mid = (low_i + high_i) // 2
-            evaluated[mid] = cell(mid * liquidity_step)
-            if evaluated[mid][0] > 0.0:
-                low_i = mid
-            else:
-                high_i = mid
-
-    best_i = min(evaluated, key=lambda i: (abs(evaluated[i][0]), -i))
-    # ties within 1e-12 go to the larger share
-    best_abs = abs(evaluated[best_i][0])
-    for i, (res, _) in evaluated.items():
-        if i > best_i and abs(res) <= best_abs + 1e-12:
-            best_i = i
-
-    if refine:
-        if full_scan:
-            positive = [i for i, (res, _) in evaluated.items() if res > 0.0]
-            nonpositive = [i for i, (res, _) in evaluated.items() if res <= 0.0]
-            low_i = max(positive) if positive else 1
-            high_i = min(nonpositive) if nonpositive else m - 1
-        lo = low_i * liquidity_step
-        hi = high_i * liquidity_step
-        best_res, best_cell = evaluated[best_i]
-        for _ in range(30):
-            midpoint = 0.5 * (lo + hi)
-            res_mid, cell_mid = cell(midpoint)
-            if abs(res_mid) < abs(best_res):
-                best_res, best_cell = res_mid, cell_mid
-            if res_mid > 0.0:
-                lo = midpoint
-            else:
-                hi = midpoint
-        return best_cell
-
-    return evaluated[best_i][1]
+    table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
+    return _search(params, table, full_scan=full_scan, refine=refine)
 
 
 def sweep_take_rate(
@@ -523,27 +583,21 @@ def sweep_take_rate(
     *,
     seed: int = 0,
     deviation_threshold: float = 0.1,
-    full_scan: bool = False,
 ) -> SweepCurve:
     """Equilibrium and revenue for every take rate on a grid over [0, 1].
 
     params.t1 is ignored; each grid value is substituted in turn.  Revenue is
-    normalized as t1 * fees_1 / (V * f) with V the total trace volume.
+    normalized as t1 * fees_1 / (V * f) with V the total trace volume.  The
+    trace is labelled once and every take rate searches the same cell table,
+    so each sample equals find_equilibrium at that take rate and seed.
     """
     if not 0.0 < take_step <= 0.5:
         raise ValueError("take_step must lie in (0, 0.5]")
+    table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
     n = round(1.0 / take_step)
     samples = []
     for i in range(n + 1):
         t1 = min(1.0, i * take_step)
-        eq = find_equilibrium(
-            replace(params, t1=t1),
-            trades,
-            L_total,
-            liquidity_step,
-            seed=seed,
-            deviation_threshold=deviation_threshold,
-            full_scan=full_scan,
-        )
+        eq = _search(replace(params, t1=t1), table)
         samples.append(SweepSample(t1=t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2))
     return SweepCurve(samples=tuple(samples), grid_step=take_step)

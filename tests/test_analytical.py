@@ -6,6 +6,7 @@ without the quadratic machinery.  The optimal take rate's closed form is
 checked against a dense grid argmax over that oracle.
 """
 
+import math
 import random
 
 import pytest
@@ -343,3 +344,9 @@ class TestModelParamsValidation:
     def test_volume_positive(self):
         with pytest.raises(ValueError):
             ModelParams(t1=0.0, t2=0.0, s1=0.0, V=0.0)
+
+    @pytest.mark.parametrize("field", ["d", "V"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(t1=0.0, t2=0.0, s1=0.0, **{field: value})

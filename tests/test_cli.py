@@ -167,6 +167,11 @@ class TestErrors:
         assert main(["analyze", str(cfg_path)]) == 1
         assert "mystery" in capsys.readouterr().err
 
+    def test_non_finite_config_value_nonzero_exit(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, FORK_CFG.replace("d = 0.1", "d = nan"))
+        assert main(["analyze", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+        assert "d must be finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

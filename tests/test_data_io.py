@@ -128,6 +128,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="d must be nonnegative"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", "nan"), ("L_total", "nan"), ("L_total", "inf"), ("deviation_threshold", "inf")],
+    )
+    def test_non_finite_value_names_key(self, tmp_path, key, value):
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ")]
+        p = tmp_path / "c.cfg"
+        p.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(p)
+
+    def test_non_finite_synthetic_key_named(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(MINIMAL.replace("trades.csv", "synthetic") + "size_mu = inf\n")
+        with pytest.raises(ConfigError, match="size_mu must be finite"):
+            load_config(p)
+
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text(MINIMAL + "t2 = 0.2\n")

@@ -7,13 +7,16 @@ arbitrage, determinism, volume conservation) are checked directly.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from takerate import simulation
 from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue
 from takerate.cpmm import PoolState, arbitrage
 from takerate.simulation import (
     SimOutcome,
+    SweepSample,
     TradeEvent,
     assign_sticky,
     find_equilibrium,
@@ -323,6 +326,51 @@ class TestSweepTakeRate:
         assert near_opt.rev1 == pytest.approx(0.1295, abs=0.02)
         assert 0.3 < near_opt.l1 < 0.7
 
+    # a sticky fork whose curve holds all liquidity up to t1 = s1 and none at
+    # t1 = 1, and a winner-take-all market
+    SCENARIOS = [
+        ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0, d=0.1, f=0.003),
+        ModelParams(t1=0.0, t2=0.167, s1=0.0, s2=0.0, d=0.0, f=0.003),
+    ]
+
+    @pytest.mark.parametrize("params", SCENARIOS)
+    def test_equals_one_search_per_take_rate(self, params):
+        trades = lognormal_trace(400, 30.0)
+        curve = sweep_take_rate(params, trades, 1e6, take_step=0.05, liquidity_step=0.02, seed=9)
+        expected = []
+        for i in range(21):
+            t1 = min(1.0, i * 0.05)
+            eq = find_equilibrium(replace(params, t1=t1), trades, 1e6, 0.02, seed=9)
+            expected.append(SweepSample(t1=t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2))
+        assert curve.samples == tuple(expected)
+        shares = {s.l1 for s in curve.samples}
+        assert {0.0, 1.0} <= shares
+
+    @pytest.mark.parametrize("params", SCENARIOS)
+    def test_labels_once_and_replays_each_cell_once(self, params, monkeypatch):
+        calls = {}
+
+        def count(name, key):
+            fn = getattr(simulation, name)
+            calls[name] = []
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(key(args, kwargs))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, wrapper)
+
+        count("assign_sticky", lambda args, kwargs: None)
+        count("_replay_two", lambda args, kwargs: (args[0], args[3]))  # (L1, L2)
+        count("_replay_single", lambda args, kwargs: kwargs["own_label"])
+        trades = lognormal_trace(400, 30.0)
+        sweep_take_rate(params, trades, 1e6, take_step=0.05, liquidity_step=0.02, seed=9)
+        assert len(calls["assign_sticky"]) == 1
+        splits = calls["_replay_two"]
+        assert len(splits) == len(set(splits))
+        assert len(splits) <= 49  # the interior grid {0.02, ..., 0.98}
+        assert sorted(calls["_replay_single"]) == [1, 2]
+
     def test_deterministic_curve(self):
         trades = lognormal_trace(300, 25.0)
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.05, d=0.0, f=0.003)
@@ -336,8 +384,6 @@ class TestSweepTakeRate:
         # it, wherever the analytic share is resolvable on the liquidity grid
         # (near t1 = 1 the share rounds to zero and revenue drops, as in the
         # discrete procedure itself)
-        from dataclasses import replace
-
         trades = lognormal_trace(6000, 20.0)
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0, d=0.0, f=0.003)
         t_star = 0.1
