@@ -49,7 +49,6 @@ from .simulation import (
     assign_sticky,
     find_equilibrium,
     replay_trades,
-    simulate_trades,
     sweep_take_rate,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "replay_trades",
     "resolve_trades",
     "save_trades",
-    "simulate_trades",
     "solve_equilibrium",
     "sweep_take_rate",
     "__version__",

@@ -56,18 +56,23 @@ class ModelParams:
     V: float = 1.0
 
     def __post_init__(self) -> None:
+        # The range checks also reject NaN and inf; d and V need their own.
         for name in ("t1", "t2", "s1", "s2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.s1 + self.s2 > 1.0:
             raise ValueError("s1 + s2 must not exceed 1")
-        if not (self.d >= 0.0 and math.isfinite(self.d)):
-            raise ValueError(f"d must be finite and nonnegative, got {self.d}")
+        if not math.isfinite(self.d):
+            raise ValueError(f"d must be finite, got {self.d}")
+        if self.d < 0.0:
+            raise ValueError(f"d must be nonnegative, got {self.d}")
         if not 0.0 <= self.f < 1.0:
-            raise ValueError("f must lie in [0, 1)")
-        if not (self.V > 0.0 and math.isfinite(self.V)):
-            raise ValueError(f"V must be finite and positive, got {self.V}")
+            raise ValueError(f"f must lie in [0, 1), got {self.f}")
+        if not math.isfinite(self.V):
+            raise ValueError(f"V must be finite, got {self.V}")
+        if self.V <= 0.0:
+            raise ValueError(f"V must be positive, got {self.V}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,11 @@ def equilibrium_share(params: ModelParams) -> float:
     # form near a double root.
     spread = den - a + c
     disc = (spread * spread + 4.0 * a * c) / (4.0 * den * den)
-    root = math.sqrt(disc)
+    if math.isfinite(disc):
+        root = math.sqrt(disc)
+    else:
+        # The squares overflow once d passes ~1e154; the same root without them.
+        root = math.hypot(spread, 2.0 * math.sqrt(a * c)) / (2.0 * abs(den))
 
     # Stable root pair: take the larger-magnitude root directly, recover the
     # other from the product q to avoid cancellation near the singularity.
@@ -173,10 +182,21 @@ def equilibrium_share(params: ModelParams) -> float:
     return l1
 
 
-def protocol_revenue(params: ModelParams) -> float:
-    """Normalized protocol revenue rev1 = t1*(s1 + (1-s1-s2)*l1) at equilibrium."""
-    l1 = equilibrium_share(params)
+def revenue_at(params: ModelParams, l1: float) -> float:
+    """Normalized protocol revenue rev1 = t1*(s1 + (1-s1-s2)*l1) at share l1."""
     return params.t1 * (params.s1 + (1.0 - params.s1 - params.s2) * l1)
+
+
+def protocol_revenue(params: ModelParams) -> float:
+    """Normalized protocol revenue at the equilibrium share."""
+    return revenue_at(params, equilibrium_share(params))
+
+
+def take_rate_grid(take_step: float) -> list[float]:
+    """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1)."""
+    if not 0.0 < take_step <= 0.5:
+        raise ValueError("take_step must lie in (0, 0.5]")
+    return [min(1.0, i * take_step) for i in range(round(1.0 / take_step) + 1)]
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -215,19 +235,20 @@ def optimal_take_rate(
         return t_star, t_star
 
     def rev(t1: float) -> float:
+        at_t1 = replace(params, t1=t1)
         try:
-            return protocol_revenue(replace(params, t1=t1))
+            return protocol_revenue(at_t1)
         except IndeterminateEquilibriumError:
-            # Degenerate corner (e.g. t2 = 1 with s1 = 0): revenue undefined
-            # there, so the point simply cannot be the argmax.
+            # Every split is an equilibrium (e.g. t2 = 1 with s1 = 0).  With no
+            # volume routed, revenue does not depend on the split; otherwise
+            # it is undefined there and the point cannot be the argmax.
+            if 1.0 - params.s1 - params.s2 <= _SINGULAR_EPS:
+                return revenue_at(at_t1, 0.0)
             return -math.inf
 
-    if not 0.0 < take_step <= 0.5:
-        raise ValueError("take_step must lie in (0, 0.5]")
-    n = round(1.0 / take_step)
-    best_t, best_rev = 0.0, rev(0.0)
-    for i in range(1, n + 1):
-        t1 = min(1.0, i * take_step)
+    grid = take_rate_grid(take_step)
+    best_t, best_rev = grid[0], rev(grid[0])
+    for t1 in grid[1:]:
         r = rev(t1)
         if r > best_rev:
             best_t, best_rev = t1, r
@@ -248,5 +269,4 @@ def solve_equilibrium(params: ModelParams, L_total: float) -> EquilibriumResult:
         r1, r2 = lp_roi(params, l1, L_total)
     else:
         r1, r2 = None, None
-    rev1 = params.t1 * (params.s1 + (1.0 - params.s1 - params.s2) * l1)
-    return EquilibriumResult(l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=rev1)
+    return EquilibriumResult(l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1))

@@ -25,9 +25,11 @@ from typing import Optional, Sequence
 from .analytical import (
     IndeterminateEquilibriumError,
     ModelParams,
-    equilibrium_share,
     lp_roi,
     optimal_take_rate,
+    revenue_at,
+    solve_equilibrium,
+    take_rate_grid,
 )
 from .data_io import (
     ConfigError,
@@ -69,33 +71,19 @@ def _fmt(value: Optional[float]) -> str:
 
 def _analytic_point(params: ModelParams, L_total: float) -> SweepSample:
     try:
-        l1 = equilibrium_share(params)
+        eq = solve_equilibrium(params, L_total)
     except IndeterminateEquilibriumError:
         l1 = _INDETERMINATE_SHARE
-    rev1 = params.t1 * (params.s1 + (1.0 - params.s1 - params.s2) * l1)
-    if 0.0 < l1 < 1.0:
         r1, r2 = lp_roi(params, l1, L_total)
-    else:
-        r1, r2 = None, None
-    return SweepSample(t1=params.t1, l1=l1, rev1=rev1, r1=r1, r2=r2)
+        return SweepSample(t1=params.t1, l1=l1, rev1=revenue_at(params, l1), r1=r1, r2=r2)
+    return SweepSample(t1=params.t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2)
 
 
 def _analytic_curve(base: ModelParams, L_total: float, take_step: float) -> SweepCurve:
-    if not 0.0 < take_step <= 0.5:
-        raise ValueError("take_step must lie in (0, 0.5]")
-    n = round(1.0 / take_step)
     samples = tuple(
-        _analytic_point(replace(base, t1=min(1.0, i * take_step)), L_total)
-        for i in range(n + 1)
+        _analytic_point(replace(base, t1=t1), L_total) for t1 in take_rate_grid(take_step)
     )
     return SweepCurve(samples=samples, grid_step=take_step)
-
-
-def _base_params(config: ScenarioConfig, volume: float = 1.0) -> ModelParams:
-    return ModelParams(
-        t1=0.0, t2=config.t2, s1=config.s1, s2=config.s2,
-        d=config.d, f=config.f, V=volume,
-    )
 
 
 def _write_curve_csv(path: Path, curve: SweepCurve, reference: Optional[SweepCurve], simulated: bool) -> None:
@@ -163,10 +151,9 @@ def cmd_analyze(
 ) -> RunReport:
     """Closed-form sweep: l1(t1), rev1(t1) and the optimal take rate."""
     step = take_step if take_step is not None else config.take_step
-    base = _base_params(config)
-    curve = _analytic_curve(base, config.L_total, step)
-    t1_star, rev1_star = optimal_take_rate(base)
-    l1_at_star = _analytic_point(replace(base, t1=t1_star), config.L_total).l1
+    curve = _analytic_curve(config.params, config.L_total, step)
+    t1_star, rev1_star = optimal_take_rate(config.params)
+    l1_at_star = _analytic_point(replace(config.params, t1=t1_star), config.L_total).l1
     report = RunReport(
         mode="analyze",
         config=config,
@@ -198,10 +185,8 @@ def cmd_simulate(
     trades = resolve_trades(config, base_dir=base_dir)
     if not trades:
         raise ConfigError("the trace contains no trades; nothing to simulate")
-    volume = sum(ev.amount_in for ev in trades)
-    base = _base_params(config, volume=volume)
     curve = sweep_take_rate(
-        base,
+        config.params,
         trades,
         config.L_total,
         take_step=step,
@@ -214,7 +199,7 @@ def cmd_simulate(
     reference = None
     max_dl1 = max_drev = None
     if compare:
-        reference = _analytic_curve(base, config.L_total, step)
+        reference = _analytic_curve(config.params, config.L_total, step)
         max_dl1 = max(
             abs(s.l1 - r.l1) for s, r in zip(curve.samples, reference.samples)
         )

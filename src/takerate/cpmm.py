@@ -28,29 +28,26 @@ B2A: Direction = "b2a"
 class PoolState:
     """Immutable snapshot of one constant-product pool.
 
-    reserve_a is the token-0 side, reserve_b the token-1 side.  take_rate is
-    the fraction of fee revenue kept by the protocol, sticky_rate the
-    fraction of market volume loyal to this pool; neither affects swap math,
-    they ride along for the equilibrium model.
+    reserve_a is the token-0 side, reserve_b the token-1 side.  fee is the
+    trading fee charged on the input leg; fee_ledger_a/fee_ledger_b hold the
+    fees collected so far in each asset, outside the reserves.
     """
 
     reserve_a: float
     reserve_b: float
     fee: float = 0.0
-    take_rate: float = 0.0
-    sticky_rate: float = 0.0
     fee_ledger_a: float = 0.0
     fee_ledger_b: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("reserve_a", "reserve_b", "fee_ledger_a", "fee_ledger_b"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.reserve_a < 0 or self.reserve_b < 0:
             raise ValueError("pool reserves must be nonnegative")
         if not 0.0 <= self.fee < 1.0:
             raise ValueError("fee must lie in [0, 1)")
-        if not 0.0 <= self.take_rate <= 1.0:
-            raise ValueError("take_rate must lie in [0, 1]")
-        if not 0.0 <= self.sticky_rate <= 1.0:
-            raise ValueError("sticky_rate must lie in [0, 1]")
         if self.fee_ledger_a < 0 or self.fee_ledger_b < 0:
             raise ValueError("fee ledgers must be nonnegative")
 

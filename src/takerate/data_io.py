@@ -12,10 +12,11 @@ import csv
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .analytical import ModelParams
 from .simulation import TradeEvent
 
 
@@ -62,7 +63,8 @@ class ScenarioConfig:
     """Everything one model run needs: market shape, sweep grids, trace source.
 
     trace is either a path to a CSV file or the literal ``synthetic``, in
-    which case the synthetic field describes the generator.
+    which case the synthetic field describes the generator.  params is the
+    ModelParams (t1 = 0) the market keys describe; building it validates them.
     """
 
     t2: float
@@ -77,23 +79,20 @@ class ScenarioConfig:
     deviation_threshold: float = 0.1
     seed: int = 0
     synthetic: Optional[SyntheticSpec] = None
+    params: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("t2", "s1", "s2", "d", "f", "L_total",
-                     "take_step", "liquidity_step", "deviation_threshold"):
+        try:
+            params = ModelParams(
+                t1=0.0, t2=self.t2, s1=self.s1, s2=self.s2, d=self.d, f=self.f
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "params", params)
+        for name in ("L_total", "take_step", "liquidity_step", "deviation_threshold"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-        for name in ("t2", "s1", "s2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.s1 + self.s2 > 1.0:
-            raise ConfigError("s1 + s2 must not exceed 1")
-        if self.d < 0.0:
-            raise ConfigError(f"d must be nonnegative, got {self.d}")
-        if not 0.0 <= self.f < 1.0:
-            raise ConfigError(f"f must lie in [0, 1), got {self.f}")
         if self.L_total <= 0.0:
             raise ConfigError(f"L_total must be positive, got {self.L_total}")
         for name in ("take_step", "liquidity_step"):
@@ -162,10 +161,17 @@ def generate_trades(spec: SyntheticSpec) -> list[TradeEvent]:
     """Draw a synthetic trace; identical specs give identical traces."""
     rng = random.Random(spec.seed)
     trades = []
-    for _ in range(spec.n_trades):
-        direction = "a2b" if rng.random() < spec.direction_bias else "b2a"
-        amount = rng.lognormvariate(spec.size_mu, spec.size_sigma)
-        trades.append(TradeEvent(direction, amount))
+    try:
+        for _ in range(spec.n_trades):
+            direction = "a2b" if rng.random() < spec.direction_bias else "b2a"
+            amount = rng.lognormvariate(spec.size_mu, spec.size_sigma)
+            trades.append(TradeEvent(direction, amount))
+    except (OverflowError, ValueError):
+        # exp() overflowed, or TradeEvent rejected a size of inf or 0.0
+        raise ValueError(
+            f"size_mu = {spec.size_mu} with size_sigma = {spec.size_sigma} draws "
+            "trade sizes outside the positive finite float range"
+        ) from None
     return trades
 
 

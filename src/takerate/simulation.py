@@ -4,7 +4,7 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
 
 1. assign_sticky marks the smallest trades (which profit least from routing)
    as loyal to pool 1 or pool 2 until their volume reaches the sticky rates.
-2. simulate_trades replays the trace: loyal trades execute in their pool
+2. replay_trades replays the trace: loyal trades execute in their pool
    unless the outcome is badly worse than optimal routing, everything else is
    split optimally, and after every trade the profitable arbitrage round
    trip, if any, is executed.
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .analytical import EquilibriumResult, ModelParams
+from .analytical import EquilibriumResult, ModelParams, take_rate_grid
 from .cpmm import Direction, PoolState
 
 # Arbitrage in the replay executes only when it clears this fraction of the
@@ -54,8 +54,8 @@ class TradeEvent:
     def __post_init__(self) -> None:
         if self.direction not in ("a2b", "b2a"):
             raise ValueError(f"unknown direction: {self.direction!r}")
-        if not self.amount_in > 0.0:
-            raise ValueError("amount_in must be positive")
+        if not (self.amount_in > 0.0 and math.isfinite(self.amount_in)):
+            raise ValueError(f"amount_in must be finite and positive, got {self.amount_in}")
         if self.sticky_label not in (None, 1, 2):
             raise ValueError("sticky_label must be None, 1 or 2")
 
@@ -379,17 +379,6 @@ def replay_trades(
     return outcome, final1, final2
 
 
-def simulate_trades(
-    pool1: PoolState,
-    pool2: PoolState,
-    trades: Sequence[TradeEvent],
-    deviation_threshold: float = 0.1,
-) -> SimOutcome:
-    """Replay a labeled trace against two balanced pools."""
-    outcome, _, _ = replay_trades(pool1, pool2, trades, deviation_threshold)
-    return outcome
-
-
 class _CellTable:
     """Replay tallies of one labelled trace, filled lazily by liquidity split.
 
@@ -427,19 +416,16 @@ class _CellTable:
         self._cells: dict = {}
         self._boundaries: dict = {}
 
-    def replay(self, l1: float):
-        """_replay_two tallies at share l1, uncached (refine's off-grid points)."""
-        L1 = l1 * self.L_total
-        L2 = (1.0 - l1) * self.L_total
-        return _replay_two(
-            L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold
-        )
-
     def cell(self, i: int):
         """_replay_two tallies at grid share i * step."""
         tallies = self._cells.get(i)
         if tallies is None:
-            tallies = self._cells[i] = self.replay(i * self.step)
+            l1 = i * self.step
+            L1 = l1 * self.L_total
+            L2 = (1.0 - l1) * self.L_total
+            tallies = self._cells[i] = _replay_two(
+                L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold
+            )
         return tallies
 
     def boundary(self, side: int):
@@ -464,7 +450,7 @@ def _boundary_result(params: ModelParams, table: _CellTable, side: int) -> Equil
 
 
 def _search(
-    params: ModelParams, table: _CellTable, *, full_scan: bool = False, refine: bool = False
+    params: ModelParams, table: _CellTable, *, full_scan: bool = False
 ) -> EquilibriumResult:
     """The equilibrium search of find_equilibrium over one cell table."""
     L_total = table.L_total
@@ -473,10 +459,11 @@ def _search(
     one_minus_t2 = 1.0 - params.t2
     one_plus_d = 1.0 + params.d
 
-    def evaluate(l1: float, tallies):
+    def cell(i: int):
+        l1 = i * step
         L1 = l1 * L_total
         L2 = (1.0 - l1) * L_total
-        vol1, vol2, fee1, fee2, arb_vol1, arb_vol2 = tallies[8:14]
+        vol1, vol2, fee1, fee2, arb_vol1, arb_vol2 = table.cell(i)[8:14]
         r1 = one_minus_t1 * fee1 / L1
         r2 = one_minus_t2 * fee2 / L2
         residual = r1 * one_plus_d - r2
@@ -489,9 +476,6 @@ def _search(
             rev1=params.t1 * fee1 / (table.total_volume * params.f),
         )
         return residual, result
-
-    def cell(i: int):
-        return evaluate(i * step, table.cell(i))
 
     m = table.m
     low_i, high_i = 1, m - 1
@@ -524,26 +508,6 @@ def _search(
         if i > best_i and abs(res) <= best_abs + 1e-12:
             best_i = i
 
-    if refine:
-        if full_scan:
-            positive = [i for i, (res, _) in evaluated.items() if res > 0.0]
-            nonpositive = [i for i, (res, _) in evaluated.items() if res <= 0.0]
-            low_i = max(positive) if positive else 1
-            high_i = min(nonpositive) if nonpositive else m - 1
-        lo = low_i * step
-        hi = high_i * step
-        best_res, best_cell = evaluated[best_i]
-        for _ in range(30):
-            midpoint = 0.5 * (lo + hi)
-            res_mid, cell_mid = evaluate(midpoint, table.replay(midpoint))
-            if abs(res_mid) < abs(best_res):
-                best_res, best_cell = res_mid, cell_mid
-            if res_mid > 0.0:
-                lo = midpoint
-            else:
-                hi = midpoint
-        return best_cell
-
     return evaluated[best_i][1]
 
 
@@ -556,7 +520,6 @@ def find_equilibrium(
     seed: int = 0,
     deviation_threshold: float = 0.1,
     full_scan: bool = False,
-    refine: bool = False,
 ) -> EquilibriumResult:
     """Liquidity split where replayed LP returns satisfy r1*(1+d) = r2.
 
@@ -566,12 +529,10 @@ def find_equilibrium(
     is still the better deal at 1-step the result is l1 = 1 (full migration),
     and symmetrically l1 = 0.  The residual is monotone in the share, so by
     default the grid minimum is located by bracketing instead of evaluating
-    every cell; full_scan forces the exhaustive scan.  refine bisects below
-    the grid resolution afterwards (off by default, matching the discrete
-    procedure).
+    every cell; full_scan forces the exhaustive scan.
     """
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
-    return _search(params, table, full_scan=full_scan, refine=refine)
+    return _search(params, table, full_scan=full_scan)
 
 
 def sweep_take_rate(
@@ -591,13 +552,10 @@ def sweep_take_rate(
     trace is labelled once and every take rate searches the same cell table,
     so each sample equals find_equilibrium at that take rate and seed.
     """
-    if not 0.0 < take_step <= 0.5:
-        raise ValueError("take_step must lie in (0, 0.5]")
+    grid = take_rate_grid(take_step)
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
-    n = round(1.0 / take_step)
     samples = []
-    for i in range(n + 1):
-        t1 = min(1.0, i * take_step)
+    for t1 in grid:
         eq = _search(replace(params, t1=t1), table)
         samples.append(SweepSample(t1=t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2))
     return SweepCurve(samples=tuple(samples), grid_step=take_step)

@@ -172,6 +172,20 @@ class TestErrors:
         assert main(["analyze", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
         assert "d must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size_mu", ["1000", "-1000"])
+    def test_unrepresentable_trade_size_flag(self, tmp_path, capsys, size_mu):
+        out = tmp_path / "t.csv"
+        assert main(["gen-trace", str(out), "--size-mu", size_mu]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size_mu" in err and "size_sigma" in err
+        assert not out.exists()
+
+    def test_overflowing_trade_size_config(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, FORK_CFG.replace("size_mu = 3.0", "size_mu = 1000"))
+        assert main(["simulate", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size_mu" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

@@ -314,8 +314,18 @@ class TestPoolStateValidation:
         with pytest.raises(ValueError):
             PoolState(-1.0, 1.0)
 
-    def test_rejects_out_of_range_rates(self):
-        with pytest.raises(ValueError):
-            PoolState(1.0, 1.0, take_rate=1.5)
-        with pytest.raises(ValueError):
-            PoolState(1.0, 1.0, sticky_rate=-0.1)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"reserve_a": math.nan, "reserve_b": 1.0},
+            {"reserve_a": math.inf, "reserve_b": 1.0},
+            {"reserve_a": 1.0, "reserve_b": -math.inf},
+            {"reserve_a": 1.0, "reserve_b": 1.0, "fee_ledger_a": math.nan},
+            {"reserve_a": 1.0, "reserve_b": 1.0, "fee_ledger_b": math.inf},
+        ],
+        ids=["nan-reserve_a", "inf-reserve_a", "inf-reserve_b", "nan-ledger_a", "inf-ledger_b"],
+    )
+    def test_rejects_non_finite_values_by_name(self, kwargs):
+        name = next(k for k, v in kwargs.items() if not math.isfinite(v))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PoolState(**kwargs)
