@@ -45,6 +45,7 @@ from .simulation import (
     SimOutcome,
     SweepCurve,
     SweepSample,
+    TraceScaleError,
     TradeEvent,
     assign_sticky,
     find_equilibrium,
@@ -69,6 +70,7 @@ __all__ = [
     "SweepSample",
     "SyntheticSpec",
     "TraceFormatError",
+    "TraceScaleError",
     "TradeEvent",
     "arbitrage",
     "assign_sticky",

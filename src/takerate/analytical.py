@@ -16,7 +16,7 @@ out, so rev1 is directly comparable across scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 # Below this, the quadratic's denominator is treated as singular and the
@@ -129,9 +129,15 @@ def equilibrium_share(params: ModelParams) -> float:
     (1-t2) - (1+d)*(1-t1) is negative, the smaller one when positive.  When
     den vanishes (matched fee attractiveness, or all volume sticky) the
     balance equation is linear and solved directly; if it is degenerate as
-    well, every split is an equilibrium and an error is raised.
+    well, every split is an equilibrium and an error is raised.  The solver
+    itself is _equilibrium_share, which takes the five validated floats, so
+    loops over one scenario need not rebuild a ModelParams per point.
     """
-    t1, t2, s1, s2, d = params.t1, params.t2, params.s1, params.s2, params.d
+    return _equilibrium_share(params.t1, params.t2, params.s1, params.s2, params.d)
+
+
+def _equilibrium_share(t1: float, t2: float, s1: float, s2: float, d: float) -> float:
+    """equilibrium_share on the fields of a valid ModelParams."""
     a = (1.0 + d) * (1.0 - t1) * s1
     c = (1.0 - t2) * s2
     gap = (1.0 - t2) - (1.0 + d) * (1.0 - t1)
@@ -184,7 +190,12 @@ def equilibrium_share(params: ModelParams) -> float:
 
 def revenue_at(params: ModelParams, l1: float) -> float:
     """Normalized protocol revenue rev1 = t1*(s1 + (1-s1-s2)*l1) at share l1."""
-    return params.t1 * (params.s1 + (1.0 - params.s1 - params.s2) * l1)
+    return _revenue(params.t1, params.s1, params.s2, l1)
+
+
+def _revenue(t1: float, s1: float, s2: float, l1: float) -> float:
+    """revenue_at on the fields of a valid ModelParams."""
+    return t1 * (s1 + (1.0 - s1 - s2) * l1)
 
 
 def protocol_revenue(params: ModelParams) -> float:
@@ -192,10 +203,18 @@ def protocol_revenue(params: ModelParams) -> float:
     return revenue_at(params, equilibrium_share(params))
 
 
+def check_step(name: str, step: float) -> None:
+    """Reject a grid step outside (0, 0.5], naming its key.
+
+    A step above 0.5 would leave a grid over [0, 1] without an interior point.
+    """
+    if not 0.0 < step <= 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5], got {step}")
+
+
 def take_rate_grid(take_step: float) -> list[float]:
     """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1)."""
-    if not 0.0 < take_step <= 0.5:
-        raise ValueError("take_step must lie in (0, 0.5]")
+    check_step("take_step", take_step)
     return [min(1.0, i * take_step) for i in range(round(1.0 / take_step) + 1)]
 
 
@@ -226,7 +245,9 @@ def optimal_take_rate(
     t1* = 1 - (1-s1)*(1-t2)/(1+d), the largest take rate at which pool 1
     still holds all liquidity.  With s2 > 0 the revenue curve is scanned on
     a take-rate grid of the given step and the best cell refined by
-    golden-section search to 1e-6; ties go to the smaller take rate.
+    golden-section search to 1e-6; ties go to the smaller take rate.  The
+    scan evaluates the float kernels directly: params is validated once and
+    every grid point only changes t1 within [0, 1].
     """
     if params.s2 == 0.0:
         t_star = 1.0 - (1.0 - params.s1) * (1.0 - params.t2) / (1.0 + params.d)
@@ -234,16 +255,17 @@ def optimal_take_rate(
         # equality included), where revenue equals the take rate itself.
         return t_star, t_star
 
+    t2, s1, s2, d = params.t2, params.s1, params.s2, params.d
+
     def rev(t1: float) -> float:
-        at_t1 = replace(params, t1=t1)
         try:
-            return protocol_revenue(at_t1)
+            return _revenue(t1, s1, s2, _equilibrium_share(t1, t2, s1, s2, d))
         except IndeterminateEquilibriumError:
             # Every split is an equilibrium (e.g. t2 = 1 with s1 = 0).  With no
             # volume routed, revenue does not depend on the split; otherwise
             # it is undefined there and the point cannot be the argmax.
-            if 1.0 - params.s1 - params.s2 <= _SINGULAR_EPS:
-                return revenue_at(at_t1, 0.0)
+            if 1.0 - s1 - s2 <= _SINGULAR_EPS:
+                return _revenue(t1, s1, s2, 0.0)
             return -math.inf
 
     grid = take_rate_grid(take_step)

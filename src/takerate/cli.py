@@ -41,7 +41,7 @@ from .data_io import (
     resolve_trades,
     save_trades,
 )
-from .simulation import SweepCurve, SweepSample, sweep_take_rate
+from .simulation import SweepCurve, SweepSample, TraceScaleError, sweep_take_rate
 from .svg import write_line_chart
 
 # Share reported at an indeterminate grid point, where every split is an
@@ -185,15 +185,22 @@ def cmd_simulate(
     trades = resolve_trades(config, base_dir=base_dir)
     if not trades:
         raise ConfigError("the trace contains no trades; nothing to simulate")
-    curve = sweep_take_rate(
-        config.params,
-        trades,
-        config.L_total,
-        take_step=step,
-        liquidity_step=liq_step,
-        seed=run_seed,
-        deviation_threshold=config.deviation_threshold,
-    )
+    try:
+        curve = sweep_take_rate(
+            config.params,
+            trades,
+            config.L_total,
+            take_step=step,
+            liquidity_step=liq_step,
+            seed=run_seed,
+            deviation_threshold=config.deviation_threshold,
+        )
+    except TraceScaleError as exc:
+        if config.trace == "synthetic":
+            remedy = "lower size_mu or size_sigma, or raise L_total"
+        else:
+            remedy = f"scale down the amounts in {config.trace} or raise L_total"
+        raise ConfigError(f"{exc}; {remedy}") from None
     best = curve.argmax()
 
     reference = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .analytical import ModelParams
+from .analytical import ModelParams, check_step
 from .simulation import TradeEvent
 
 
@@ -95,10 +95,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
         if self.L_total <= 0.0:
             raise ConfigError(f"L_total must be positive, got {self.L_total}")
-        for name in ("take_step", "liquidity_step"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 0.5:
-                raise ConfigError(f"{name} must lie in (0, 0.5], got {v}")
+        try:
+            check_step("take_step", self.take_step)
+            check_step("liquidity_step", self.liquidity_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.deviation_threshold < 0.0:
             raise ConfigError("deviation_threshold must be nonnegative")
         if not self.trace:

@@ -4,6 +4,9 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
 
 1. assign_sticky marks the smallest trades (which profit least from routing)
    as loyal to pool 1 or pool 2 until their volume reaches the sticky rates.
+   The rule works on trade sizes alone and yields one label per trade
+   (0 routed, 1 or 2 loyal); the equilibrium search packs those labels
+   straight into its replay tuples without rebuilding any TradeEvent.
 2. replay_trades replays the trace: loyal trades execute in their pool
    unless the outcome is badly worse than optimal routing, everything else is
    split optimally, and after every trade the profitable arbitrage round
@@ -28,15 +31,30 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .analytical import EquilibriumResult, ModelParams, take_rate_grid
+from .analytical import EquilibriumResult, ModelParams, check_step, take_rate_grid
 from .cpmm import Direction, PoolState
 
 # Arbitrage in the replay executes only when it clears this fraction of the
 # combined token-0 reserves, which keeps float-noise round trips out.
 _MIN_PROFIT_SCALE = 1e-12
+
+# Every reserve of a replay stays within [lo, hi]: hi is L_total plus the
+# whole trace volume, and lo = L_min**2 / hi because no swap shrinks a pool's
+# reserve product below its starting L_i**2 (L_min: the smallest pool of the
+# liquidity grid).  The arbitrage step multiplies four reserves, so hi**4 and
+# lo**4 must stay normal floats, and a trade more than 2**26 times the reserve
+# it enters would leave the other reserve under half of its significand.
+_MAX_RESERVE = sys.float_info.max ** 0.25
+_MIN_RESERVE = sys.float_info.min ** 0.25
+_MAX_TRADE_PER_RESERVE = 2.0 ** 26
+
+
+class TraceScaleError(ValueError):
+    """Trade sizes and L_total put a replay outside the float range."""
 
 
 @dataclass(frozen=True)
@@ -117,15 +135,25 @@ def assign_sticky(
     into a pool-1 part of volume share s1/(s1+s2) and a pool-2 remainder.
     Existing labels are discarded.  Deterministic for a given seed.
     """
-    if not trades:
+    labels = _sticky_labels([ev.amount_in for ev in trades], s1, s2, seed)
+    return [replace(ev, sticky_label=lab or None) for ev, lab in zip(trades, labels)]
+
+
+def _sticky_labels(
+    amounts: Sequence[float], s1: float, s2: float, seed: int
+) -> list[int]:
+    """The rule of assign_sticky on trade sizes: one label per trade, 0 for routed."""
+    if not amounts:
         raise ValueError("trade list must not be empty")
     if s1 < 0.0 or s2 < 0.0 or s1 + s2 > 1.0:
         raise ValueError("sticky rates must be nonnegative with s1 + s2 <= 1")
+    labels = [0] * len(amounts)
     if s1 + s2 == 0.0:
-        return [replace(ev, sticky_label=None) for ev in trades]
+        return labels
 
-    total = sum(ev.amount_in for ev in trades)
-    by_size = sorted(range(len(trades)), key=lambda i: (trades[i].amount_in, i))
+    total = sum(amounts)
+    # sorted() is stable, so trace order breaks ties between equal sizes
+    by_size = sorted(range(len(amounts)), key=amounts.__getitem__)
     target_all = (s1 + s2) * total
     sticky: list[int] = []
     sticky_volume = 0.0
@@ -133,20 +161,19 @@ def assign_sticky(
         if sticky_volume >= target_all:
             break
         sticky.append(i)
-        sticky_volume += trades[i].amount_in
+        sticky_volume += amounts[i]
 
     shuffled = sticky[:]
     random.Random(seed).shuffle(shuffled)
     target_one = s1 / (s1 + s2) * sticky_volume
-    labels: dict[int, int] = {}
     taken = 0.0
     for i in shuffled:
         if taken < target_one:
             labels[i] = 1
-            taken += trades[i].amount_in
+            taken += amounts[i]
         else:
             labels[i] = 2
-    return [replace(ev, sticky_label=labels.get(i)) for i, ev in enumerate(trades)]
+    return labels
 
 
 def _compile(trades: Sequence[TradeEvent]) -> list[tuple[bool, float, int]]:
@@ -399,20 +426,26 @@ class _CellTable:
         seed: int,
         deviation_threshold: float,
     ) -> None:
-        """Validate the search inputs and label the trace with params.s1/s2."""
+        """Validate the search inputs and the trace's scale, then label it."""
         if L_total <= 0.0:
             raise ValueError("L_total must be positive")
-        if not 0.0 < liquidity_step <= 0.5:
-            raise ValueError("liquidity_step must lie in (0, 0.5]")
+        check_step("liquidity_step", liquidity_step)
         if params.f <= 0.0:
             raise ValueError("the simulation needs a positive trading fee to compare ROIs")
-        self.compiled = _compile(assign_sticky(trades, params.s1, params.s2, seed))
+        amounts = [ev.amount_in for ev in trades]
+        labels = _sticky_labels(amounts, params.s1, params.s2, seed)
+        self.m = round(1.0 / liquidity_step)
+        self.total_volume = sum(amounts)
+        L_min = min(liquidity_step, 1.0 - (self.m - 1) * liquidity_step) * L_total
+        _check_scale(max(amounts), self.total_volume, L_total, L_min)
+        self.compiled = [
+            (ev.direction == "a2b", amt, lab)
+            for ev, amt, lab in zip(trades, amounts, labels)
+        ]
         self.L_total = L_total
         self.f = params.f
         self.step = liquidity_step
         self.threshold = deviation_threshold
-        self.m = round(1.0 / liquidity_step)
-        self.total_volume = sum(amt for _, amt, _ in self.compiled)
         self._cells: dict = {}
         self._boundaries: dict = {}
 
@@ -436,6 +469,20 @@ class _CellTable:
                 self.L_total, self.L_total, self.f, self.compiled, own_label=side
             )
         return tallies
+
+
+def _check_scale(largest: float, volume: float, L_total: float, L_min: float) -> None:
+    """Raise TraceScaleError unless a replay stays in range (see _MAX_RESERVE)."""
+    hi = L_total + volume
+    if hi < _MAX_RESERVE:
+        lo = L_min * (L_min / hi)
+        if lo > _MIN_RESERVE and largest <= _MAX_TRADE_PER_RESERVE * lo:
+            return
+    raise TraceScaleError(
+        f"trades up to {largest:.6g} (volume {volume:.6g}) are out of scale "
+        f"with L_total = {L_total:.6g}: against pools as small as {L_min:.6g} "
+        "the replay would leave the float range"
+    )
 
 
 def _boundary_result(params: ModelParams, table: _CellTable, side: int) -> EquilibriumResult:

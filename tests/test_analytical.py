@@ -8,6 +8,7 @@ checked against a dense grid argmax over that oracle.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -292,6 +293,23 @@ class TestOptimalTakeRate:
             t_star, _ = optimal_take_rate(ModelParams(t1=0.0, t2=t2, s1=0.1, s2=0.0, d=0.0))
             assert t_star > prev
             prev = t_star
+
+
+    def test_scan_builds_no_model_params(self, monkeypatch):
+        # the s2 > 0 scan runs on floats; params was validated when built
+        params = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05)
+        validate = ModelParams.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        optimal_take_rate(params)
+        assert calls == []
+        replace(params, t1=0.5)
+        assert len(calls) == 1  # the counter itself is live
 
 
 class TestBranchContinuity:

@@ -186,6 +186,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "size_mu" in err
 
+    @pytest.mark.parametrize("size_mu", ["700", "35"])
+    def test_trace_out_of_scale_with_liquidity(self, tmp_path, capsys, size_mu):
+        # finite trade sizes far beyond L_total would break the replay's floats
+        cfg_path = write_cfg(tmp_path, FORK_CFG.replace("size_mu = 3.0", f"size_mu = {size_mu}"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size_mu" in err and "L_total" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

@@ -14,10 +14,12 @@ import pytest
 from takerate import simulation
 from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue
 from takerate.cpmm import PoolState, arbitrage
+from takerate.data_io import ConfigError, ScenarioConfig
 from takerate.simulation import (
     SimOutcome,
     SweepSample,
     TradeEvent,
+    TraceScaleError,
     assign_sticky,
     find_equilibrium,
     replay_trades,
@@ -248,6 +250,30 @@ class TestFindEquilibrium:
         with pytest.raises(ValueError):
             find_equilibrium(params, lognormal_trace(10, 5.0), 1e6)
 
+    def test_out_of_scale_trace_rejected_before_any_replay(self, monkeypatch):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("replayed an out-of-scale trace")
+
+        monkeypatch.setattr(simulation, "_replay_two", no_replay)
+        monkeypatch.setattr(simulation, "_replay_single", no_replay)
+        params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
+        # a trade that rounds a 5,000-unit pool away, and one past float range
+        for amounts in ([1e20, 30.0], [1e300, 1e300]):
+            trades = [TradeEvent("a2b", a) for a in amounts]
+            with pytest.raises(TraceScaleError, match="L_total"):
+                find_equilibrium(params, trades, 1e6)
+
+    def test_step_errors_name_the_key(self):
+        params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
+        trades = lognormal_trace(10, 5.0)
+        with pytest.raises(ValueError, match="liquidity_step"):
+            find_equilibrium(params, trades, 1e6, liquidity_step=0.6)
+        with pytest.raises(ValueError, match="take_step"):
+            sweep_take_rate(params, trades, 1e6, take_step=0.0)
+        for key in ("take_step", "liquidity_step"):
+            with pytest.raises(ConfigError, match=key):
+                ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", **{key: 0.7})
+
     def test_result_volumes_sum_to_trace_volume(self):
         # token-0-only trades avoid price conversion: the equilibrium result's
         # per-pool volumes (arbitrage excluded) add up to the trace volume
@@ -357,12 +383,12 @@ class TestSweepTakeRate:
 
             monkeypatch.setattr(simulation, name, wrapper)
 
-        count("assign_sticky", lambda args, kwargs: None)
+        count("_sticky_labels", lambda args, kwargs: None)
         count("_replay_two", lambda args, kwargs: (args[0], args[3]))  # (L1, L2)
         count("_replay_single", lambda args, kwargs: kwargs["own_label"])
         trades = lognormal_trace(400, 30.0)
         sweep_take_rate(params, trades, 1e6, take_step=0.05, liquidity_step=0.02, seed=9)
-        assert len(calls["assign_sticky"]) == 1
+        assert len(calls["_sticky_labels"]) == 1
         splits = calls["_replay_two"]
         assert len(splits) == len(set(splits))
         assert len(splits) <= 49  # the interior grid {0.02, ..., 0.98}
