@@ -44,7 +44,6 @@ from .data_io import (
 from .simulation import (
     SimOutcome,
     SweepCurve,
-    SweepSample,
     TraceScaleError,
     TradeEvent,
     assign_sticky,
@@ -67,7 +66,6 @@ __all__ = [
     "ScenarioConfig",
     "SimOutcome",
     "SweepCurve",
-    "SweepSample",
     "SyntheticSpec",
     "TraceFormatError",
     "TraceScaleError",

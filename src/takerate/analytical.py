@@ -29,6 +29,9 @@ _CLAMP_EPS = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Take-rate step of optimal_take_rate's scan before the golden-section step.
+_SCAN_STEP = 0.001
+
 
 class IndeterminateEquilibriumError(ValueError):
     """Every liquidity split is an equilibrium; no unique share exists."""
@@ -77,13 +80,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Liquidity equilibrium and the quantities that follow from it.
+    """Liquidity equilibrium at take rate t1 and the quantities that follow.
 
-    r1/r2 are None when the corresponding pool is empty (l1 at 0 or 1), where
-    an ROI is undefined.  rev1 is normalized protocol revenue (V*f factored
-    out).
+    This is also one sample of a take-rate curve.  v1/v2 are the pools'
+    volumes: here the V-scaled shares of pool_volumes, in the simulation the
+    replayed token-0 volumes excluding arbitrage legs.  r1/r2 are None when
+    the corresponding pool is empty (l1 at 0 or 1), where an ROI is
+    undefined.  rev1 is normalized protocol revenue (V*f factored out).
     """
 
+    t1: float
     l1: float
     v1: float
     v2: float
@@ -236,15 +242,13 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) 
     return (a + b) / 2.0
 
 
-def optimal_take_rate(
-    params: ModelParams, take_step: float = 0.001
-) -> tuple[float, float]:
+def optimal_take_rate(params: ModelParams) -> tuple[float, float]:
     """Take rate for pool 1 that maximizes protocol revenue, with that revenue.
 
     params.t1 is ignored.  With s2 = 0 the optimum is the closed form
     t1* = 1 - (1-s1)*(1-t2)/(1+d), the largest take rate at which pool 1
     still holds all liquidity.  With s2 > 0 the revenue curve is scanned on
-    a take-rate grid of the given step and the best cell refined by
+    a take-rate grid of step 0.001 and the best cell refined by
     golden-section search to 1e-6; ties go to the smaller take rate.  The
     scan evaluates the float kernels directly: params is validated once and
     every grid point only changes t1 within [0, 1].
@@ -268,14 +272,14 @@ def optimal_take_rate(
                 return _revenue(t1, s1, s2, 0.0)
             return -math.inf
 
-    grid = take_rate_grid(take_step)
+    grid = take_rate_grid(_SCAN_STEP)
     best_t, best_rev = grid[0], rev(grid[0])
     for t1 in grid[1:]:
         r = rev(t1)
         if r > best_rev:
             best_t, best_rev = t1, r
     refined_t = _golden_max(
-        rev, max(0.0, best_t - take_step), min(1.0, best_t + take_step), tol=1e-6
+        rev, max(0.0, best_t - _SCAN_STEP), min(1.0, best_t + _SCAN_STEP), tol=1e-6
     )
     refined_rev = rev(refined_t)
     if refined_rev > best_rev or (refined_rev == best_rev and refined_t < best_t):
@@ -291,4 +295,6 @@ def solve_equilibrium(params: ModelParams, L_total: float) -> EquilibriumResult:
         r1, r2 = lp_roi(params, l1, L_total)
     else:
         r1, r2 = None, None
-    return EquilibriumResult(l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1))
+    return EquilibriumResult(
+        t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
+    )

@@ -23,10 +23,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analytical import (
+    EquilibriumResult,
     IndeterminateEquilibriumError,
     ModelParams,
     lp_roi,
     optimal_take_rate,
+    pool_volumes,
     revenue_at,
     solve_equilibrium,
     take_rate_grid,
@@ -41,7 +43,7 @@ from .data_io import (
     resolve_trades,
     save_trades,
 )
-from .simulation import SweepCurve, SweepSample, TraceScaleError, sweep_take_rate
+from .simulation import SweepCurve, TraceScaleError, sweep_take_rate
 from .svg import write_line_chart
 
 # Share reported at an indeterminate grid point, where every split is an
@@ -69,14 +71,16 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.12g}"
 
 
-def _analytic_point(params: ModelParams, L_total: float) -> SweepSample:
+def _analytic_point(params: ModelParams, L_total: float) -> EquilibriumResult:
     try:
-        eq = solve_equilibrium(params, L_total)
+        return solve_equilibrium(params, L_total)
     except IndeterminateEquilibriumError:
         l1 = _INDETERMINATE_SHARE
+        v1, v2 = pool_volumes(params, l1)
         r1, r2 = lp_roi(params, l1, L_total)
-        return SweepSample(t1=params.t1, l1=l1, rev1=revenue_at(params, l1), r1=r1, r2=r2)
-    return SweepSample(t1=params.t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2)
+        return EquilibriumResult(
+            t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
+        )
 
 
 def _analytic_curve(base: ModelParams, L_total: float, take_step: float) -> SweepCurve:

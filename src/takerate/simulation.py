@@ -4,13 +4,12 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
 
 1. assign_sticky marks the smallest trades (which profit least from routing)
    as loyal to pool 1 or pool 2 until their volume reaches the sticky rates.
-   The rule works on trade sizes alone and yields one label per trade
-   (0 routed, 1 or 2 loyal); the equilibrium search packs those labels
-   straight into its replay tuples without rebuilding any TradeEvent.
-2. replay_trades replays the trace: loyal trades execute in their pool
-   unless the outcome is badly worse than optimal routing, everything else is
-   split optimally, and after every trade the profitable arbitrage round
-   trip, if any, is executed.
+   The rule works on trade sizes alone and returns one label per trade
+   (0 routed, 1 or 2 loyal); labels live beside the trace, never in it.
+2. replay_trades replays a trace with its labels: loyal trades execute in
+   their pool unless the outcome is badly worse than optimal routing,
+   everything else is split optimally, and after every trade the profitable
+   arbitrage round trip, if any, is executed.
 3. find_equilibrium scans a discrete grid of liquidity splits for the point
    where r1*(1+d) = r2, capturing full migration to either pool at the grid
    edges.  The replay tallies it reads come from a cell table keyed by grid
@@ -33,7 +32,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .analytical import EquilibriumResult, ModelParams, check_step, take_rate_grid
 from .cpmm import Direction, PoolState
@@ -42,10 +41,11 @@ from .cpmm import Direction, PoolState
 # combined token-0 reserves, which keeps float-noise round trips out.
 _MIN_PROFIT_SCALE = 1e-12
 
-# Every reserve of a replay stays within [lo, hi]: hi is L_total plus the
-# whole trace volume, and lo = L_min**2 / hi because no swap shrinks a pool's
-# reserve product below its starting L_i**2 (L_min: the smallest pool of the
-# liquidity grid).  The arbitrage step multiplies four reserves, so hi**4 and
+# Every reserve of a replay stays within [lo, hi]: hi is the larger of the
+# two assets' combined reserves (L_total on the liquidity grid) plus the whole
+# trace volume, and lo = L_min**2 / hi because no swap changes a pool's
+# reserve product and the smaller product is L_min**2 (on the grid, L_min is
+# the smallest pool).  The arbitrage step multiplies four reserves, so hi**4 and
 # lo**4 must stay normal floats, and a trade more than 2**26 times the reserve
 # it enters would leave the other reserve under half of its significand.
 _MAX_RESERVE = sys.float_info.max ** 0.25
@@ -54,28 +54,26 @@ _MAX_TRADE_PER_RESERVE = 2.0 ** 26
 
 
 class TraceScaleError(ValueError):
-    """Trade sizes and L_total put a replay outside the float range."""
+    """Trade sizes and pool sizes put a replay outside the float range."""
 
 
 @dataclass(frozen=True)
 class TradeEvent:
-    """One trade of a trace: direction, input amount, loyalty label.
+    """One trade of a trace: direction and input amount.
 
-    sticky_label is None for optimally routed trades, 1 or 2 for trades loyal
-    to that pool.  amount_in is denominated in the input asset of the trade.
+    amount_in is denominated in the input asset of the trade.  Loyalty is not
+    a property of the trade: assign_sticky derives it from the trace, and the
+    labels travel beside the trades into replay_trades.
     """
 
     direction: Direction
     amount_in: float
-    sticky_label: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.direction not in ("a2b", "b2a"):
             raise ValueError(f"unknown direction: {self.direction!r}")
         if not (self.amount_in > 0.0 and math.isfinite(self.amount_in)):
             raise ValueError(f"amount_in must be finite and positive, got {self.amount_in}")
-        if self.sticky_label not in (None, 1, 2):
-            raise ValueError("sticky_label must be None, 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -98,24 +96,13 @@ class SimOutcome:
 
 
 @dataclass(frozen=True)
-class SweepSample:
-    """One take-rate grid point: equilibrium share, revenue and LP ROIs."""
-
-    t1: float
-    l1: float
-    rev1: float
-    r1: Optional[float]
-    r2: Optional[float]
-
-
-@dataclass(frozen=True)
 class SweepCurve:
     """Revenue and liquidity share over an ascending take-rate grid."""
 
-    samples: tuple[SweepSample, ...]
+    samples: tuple[EquilibriumResult, ...]
     grid_step: float
 
-    def argmax(self) -> SweepSample:
+    def argmax(self) -> EquilibriumResult:
         """Sample with the highest revenue; ties go to the smaller take rate."""
         best = self.samples[0]
         for s in self.samples[1:]:
@@ -126,31 +113,25 @@ class SweepCurve:
 
 def assign_sticky(
     trades: Sequence[TradeEvent], s1: float, s2: float, seed: int = 0
-) -> list[TradeEvent]:
+) -> list[int]:
     """Label the smallest trades as loyal until volume shares s1 and s2 are met.
 
+    Returns one label per trade: 0 for routed, 1 or 2 for loyal to that pool.
     Trades are sorted ascending by size (trace order breaks ties) and the
     least prefix reaching a volume share of s1+s2 becomes sticky.  A seeded
     uniform shuffle of that prefix is then split by the same cumulative rule
     into a pool-1 part of volume share s1/(s1+s2) and a pool-2 remainder.
-    Existing labels are discarded.  Deterministic for a given seed.
+    Deterministic for a given seed.
     """
-    labels = _sticky_labels([ev.amount_in for ev in trades], s1, s2, seed)
-    return [replace(ev, sticky_label=lab or None) for ev, lab in zip(trades, labels)]
-
-
-def _sticky_labels(
-    amounts: Sequence[float], s1: float, s2: float, seed: int
-) -> list[int]:
-    """The rule of assign_sticky on trade sizes: one label per trade, 0 for routed."""
-    if not amounts:
+    if not trades:
         raise ValueError("trade list must not be empty")
     if s1 < 0.0 or s2 < 0.0 or s1 + s2 > 1.0:
         raise ValueError("sticky rates must be nonnegative with s1 + s2 <= 1")
-    labels = [0] * len(amounts)
+    labels = [0] * len(trades)
     if s1 + s2 == 0.0:
         return labels
 
+    amounts = [ev.amount_in for ev in trades]
     total = sum(amounts)
     # sorted() is stable, so trace order breaks ties between equal sizes
     by_size = sorted(range(len(amounts)), key=amounts.__getitem__)
@@ -176,11 +157,9 @@ def _sticky_labels(
     return labels
 
 
-def _compile(trades: Sequence[TradeEvent]) -> list[tuple[bool, float, int]]:
-    """Flatten events to (is_a2b, amount, label) tuples for the replay loop."""
-    return [
-        (ev.direction == "a2b", ev.amount_in, ev.sticky_label or 0) for ev in trades
-    ]
+def _compile(trades: Sequence[TradeEvent], labels: Sequence[int]) -> list[tuple[bool, float, int]]:
+    """Pack trades and their labels into (is_a2b, amount, label) replay tuples."""
+    return [(ev.direction == "a2b", ev.amount_in, lab) for ev, lab in zip(trades, labels)]
 
 
 def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
@@ -355,11 +334,21 @@ def replay_trades(
     pool1: PoolState,
     pool2: PoolState,
     trades: Sequence[TradeEvent],
+    labels: Sequence[int],
     deviation_threshold: float = 0.1,
 ) -> tuple[SimOutcome, PoolState, PoolState]:
-    """Replay a labeled trace and return the outcome plus final pool states."""
+    """Replay a trace and return the outcome plus final pool states.
+
+    labels holds one label per trade, as assign_sticky returns them: 0 for
+    routed, 1 or 2 for loyal to that pool.  A trace out of scale with the
+    pools raises TraceScaleError before any trade is replayed.
+    """
     if deviation_threshold < 0.0:
         raise ValueError("deviation_threshold must be nonnegative")
+    if len(labels) != len(trades):
+        raise ValueError(f"labels has {len(labels)} entries for {len(trades)} trades")
+    if any(lab not in (0, 1, 2) for lab in labels):
+        raise ValueError("labels must be 0 (routed), 1 or 2 (loyal to that pool)")
     for p in (pool1, pool2):
         if p.reserve_a <= 0.0 or p.reserve_b <= 0.0:
             raise ValueError("both pools must have positive reserves")
@@ -368,6 +357,14 @@ def replay_trades(
     # band's worth of slack so a replay can resume from a previous end state.
     if abs(p1 - p2) > 0.05 * max(p1, p2):
         raise ValueError("pools must start balanced to a common marginal price")
+    a1, b1, a2, b2 = pool1.reserve_a, pool1.reserve_b, pool2.reserve_a, pool2.reserve_b
+    _check_scale(
+        max((ev.amount_in for ev in trades), default=0.0),
+        sum(ev.amount_in for ev in trades),
+        max(a1 + a2, b1 + b2),
+        math.sqrt(min(a1 * b1, a2 * b2)),
+        "the pools' combined reserves",
+    )
 
     (
         a1, b1, la1, lb1,
@@ -375,9 +372,7 @@ def replay_trades(
         vol1, vol2, fee1, fee2,
         arb_vol1, arb_vol2, arb_count, rerouted,
     ) = _replay_two(
-        pool1.reserve_a, pool1.reserve_b, pool1.fee,
-        pool2.reserve_a, pool2.reserve_b, pool2.fee,
-        _compile(trades), deviation_threshold,
+        a1, b1, pool1.fee, a2, b2, pool2.fee, _compile(trades, labels), deviation_threshold
     )
     outcome = SimOutcome(
         volume_1=vol1,
@@ -432,16 +427,12 @@ class _CellTable:
         check_step("liquidity_step", liquidity_step)
         if params.f <= 0.0:
             raise ValueError("the simulation needs a positive trading fee to compare ROIs")
-        amounts = [ev.amount_in for ev in trades]
-        labels = _sticky_labels(amounts, params.s1, params.s2, seed)
+        self.compiled = _compile(trades, assign_sticky(trades, params.s1, params.s2, seed))
         self.m = round(1.0 / liquidity_step)
-        self.total_volume = sum(amounts)
+        self.total_volume = sum(amt for _, amt, _ in self.compiled)
         L_min = min(liquidity_step, 1.0 - (self.m - 1) * liquidity_step) * L_total
-        _check_scale(max(amounts), self.total_volume, L_total, L_min)
-        self.compiled = [
-            (ev.direction == "a2b", amt, lab)
-            for ev, amt, lab in zip(trades, amounts, labels)
-        ]
+        largest = max(amt for _, amt, _ in self.compiled)
+        _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
         self.L_total = L_total
         self.f = params.f
         self.step = liquidity_step
@@ -471,17 +462,17 @@ class _CellTable:
         return tallies
 
 
-def _check_scale(largest: float, volume: float, L_total: float, L_min: float) -> None:
+def _check_scale(largest: float, volume: float, reserves: float, L_min: float, name: str) -> None:
     """Raise TraceScaleError unless a replay stays in range (see _MAX_RESERVE)."""
-    hi = L_total + volume
+    hi = reserves + volume
     if hi < _MAX_RESERVE:
         lo = L_min * (L_min / hi)
         if lo > _MIN_RESERVE and largest <= _MAX_TRADE_PER_RESERVE * lo:
             return
     raise TraceScaleError(
         f"trades up to {largest:.6g} (volume {volume:.6g}) are out of scale "
-        f"with L_total = {L_total:.6g}: against pools as small as {L_min:.6g} "
-        "the replay would leave the float range"
+        f"with {name} = {reserves:.6g}: against pools as small as "
+        f"{L_min:.6g} the replay would leave the float range"
     )
 
 
@@ -491,9 +482,10 @@ def _boundary_result(params: ModelParams, table: _CellTable, side: int) -> Equil
     _, _, _, _, vol, fee, _ = table.boundary(side)
     r_own = (1.0 - t_own) * fee / table.L_total
     rev1 = params.t1 * fee / (table.total_volume * params.f) if side == 1 else 0.0
+    t1 = params.t1
     if side == 1:
-        return EquilibriumResult(l1=1.0, v1=vol, v2=0.0, r1=r_own, r2=None, rev1=rev1)
-    return EquilibriumResult(l1=0.0, v1=0.0, v2=vol, r1=None, r2=r_own, rev1=rev1)
+        return EquilibriumResult(t1=t1, l1=1.0, v1=vol, v2=0.0, r1=r_own, r2=None, rev1=rev1)
+    return EquilibriumResult(t1=t1, l1=0.0, v1=0.0, v2=vol, r1=None, r2=r_own, rev1=rev1)
 
 
 def _search(
@@ -515,6 +507,7 @@ def _search(
         r2 = one_minus_t2 * fee2 / L2
         residual = r1 * one_plus_d - r2
         result = EquilibriumResult(
+            t1=params.t1,
             l1=l1,
             v1=vol1 - arb_vol1,
             v2=vol2 - arb_vol2,
@@ -601,8 +594,5 @@ def sweep_take_rate(
     """
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
-    samples = []
-    for t1 in grid:
-        eq = _search(replace(params, t1=t1), table)
-        samples.append(SweepSample(t1=t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2))
-    return SweepCurve(samples=tuple(samples), grid_step=take_step)
+    samples = tuple(_search(replace(params, t1=t1), table) for t1 in grid)
+    return SweepCurve(samples=samples, grid_step=take_step)

@@ -20,33 +20,28 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 48
+_TICKS = 5  # grid intervals per axis
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _tick_values(top: float, count: int = 5) -> list[float]:
-    return [top * i / count for i in range(count + 1)]
+def _tick_values(top: float) -> list[float]:
+    return [top * i / _TICKS for i in range(_TICKS + 1)]
 
 
 def write_line_chart(
-    path: Union[str, Path],
-    title: str,
-    x_label: str,
-    series: Sequence[Series],
-    x_max: float = 1.0,
-    y_max: float | None = None,
+    path: Union[str, Path], title: str, x_label: str, series: Sequence[Series]
 ) -> None:
-    """Render series of (x, y) points as an SVG chart with legend and grid."""
-    if y_max is None:
-        peak = max((y for _, pts in series for _, y in pts), default=1.0)
-        y_max = max(1.0, peak)
+    """Render (x, y) series over x in [0, 1] as an SVG chart with legend and grid."""
+    peak = max((y for _, pts in series for _, y in pts), default=1.0)
+    y_max = max(1.0, peak)
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x: float) -> float:
-        return _MARGIN_LEFT + plot_w * x / x_max
+        return _MARGIN_LEFT + plot_w * x
 
     def sy(y: float) -> float:
         return _MARGIN_TOP + plot_h * (1.0 - y / y_max)
@@ -59,7 +54,7 @@ def write_line_chart(
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
 
-    for x in _tick_values(x_max):
+    for x in _tick_values(1.0):
         px = sx(x)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_MARGIN_TOP}" x2="{_fmt(px)}" '

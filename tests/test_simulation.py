@@ -13,11 +13,10 @@ import pytest
 
 from takerate import simulation
 from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue
-from takerate.cpmm import PoolState, arbitrage
+from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
 from takerate.data_io import ConfigError, ScenarioConfig
 from takerate.simulation import (
     SimOutcome,
-    SweepSample,
     TradeEvent,
     TraceScaleError,
     assign_sticky,
@@ -41,30 +40,29 @@ def lognormal_trace(n, median, sigma=1.0, bias=0.5, seed=123):
 class TestAssignSticky:
     def test_zero_rates_no_labels(self):
         trades = lognormal_trace(50, 10.0)
-        labeled = assign_sticky(trades, 0.0, 0.0, seed=1)
-        assert all(ev.sticky_label is None for ev in labeled)
+        labels = assign_sticky(trades, 0.0, 0.0, seed=1)
+        assert labels == [0] * len(trades)
 
     def test_full_stickiness_labels_everything(self):
         trades = lognormal_trace(50, 10.0)
-        labeled = assign_sticky(trades, 0.5, 0.5, seed=1)
-        assert all(ev.sticky_label in (1, 2) for ev in labeled)
+        labels = assign_sticky(trades, 0.5, 0.5, seed=1)
+        assert all(lab in (1, 2) for lab in labels)
 
     def test_smallest_prefix_rule_by_hand(self):
         # sizes {1,2,3,4,90}: the smallest four reach 10% of the volume 100
         trades = [TradeEvent("a2b", x) for x in (90.0, 3.0, 1.0, 4.0, 2.0)]
-        labeled = assign_sticky(trades, 0.1, 0.0, seed=5)
-        labels = [ev.sticky_label for ev in labeled]
-        assert labels == [None, 1, 1, 1, 1]
+        labels = assign_sticky(trades, 0.1, 0.0, seed=5)
+        assert labels == [0, 1, 1, 1, 1]
 
     def test_pool1_share_splits_sticky_volume(self):
         trades = lognormal_trace(2000, 10.0)
-        labeled = assign_sticky(trades, 0.1, 0.05, seed=7)
+        labels = assign_sticky(trades, 0.1, 0.05, seed=7)
         total = sum(ev.amount_in for ev in trades)
-        vol1 = sum(ev.amount_in for ev in labeled if ev.sticky_label == 1)
-        vol2 = sum(ev.amount_in for ev in labeled if ev.sticky_label == 2)
+        vol1 = sum(ev.amount_in for ev, lab in zip(trades, labels) if lab == 1)
+        vol2 = sum(ev.amount_in for ev, lab in zip(trades, labels) if lab == 2)
         assert (vol1 + vol2) / total == pytest.approx(0.15, abs=0.01)
         # discretization slack: one labeled trade at most
-        w = max(ev.amount_in for ev in labeled if ev.sticky_label) / total
+        w = max(ev.amount_in for ev, lab in zip(trades, labels) if lab) / total
         assert abs(vol1 / total - 0.1) <= w + 1e-12
         assert abs(vol2 / total - 0.05) <= w + 1e-12
 
@@ -76,15 +74,10 @@ class TestAssignSticky:
 
     def test_only_smallest_trades_labeled(self):
         trades = lognormal_trace(1000, 10.0)
-        labeled = assign_sticky(trades, 0.1, 0.1, seed=13)
-        sticky_sizes = [ev.amount_in for ev in labeled if ev.sticky_label]
-        loose_sizes = [ev.amount_in for ev in labeled if not ev.sticky_label]
+        labels = assign_sticky(trades, 0.1, 0.1, seed=13)
+        sticky_sizes = [ev.amount_in for ev, lab in zip(trades, labels) if lab]
+        loose_sizes = [ev.amount_in for ev, lab in zip(trades, labels) if not lab]
         assert max(sticky_sizes) <= min(loose_sizes)
-
-    def test_relabeling_discards_old_labels(self):
-        trades = [TradeEvent("a2b", 5.0, sticky_label=2) for _ in range(10)]
-        labeled = assign_sticky(trades, 0.0, 0.0, seed=0)
-        assert all(ev.sticky_label is None for ev in labeled)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,12 +96,12 @@ class TestTradeEvent:
 class TestSimulateTrades:
     def test_zero_trades_zero_outcome(self):
         pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
-        out = replay_trades(*pools, [])[0]
+        out = replay_trades(*pools, [], [])[0]
         assert out == SimOutcome(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 
     def test_single_trade_splits_evenly_across_equal_pools(self):
         pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
-        out = replay_trades(*pools, [TradeEvent("a2b", 50.0)])[0]
+        out = replay_trades(*pools, [TradeEvent("a2b", 50.0)], [0])[0]
         assert out.volume_1 == pytest.approx(25.0, rel=1e-9)
         assert out.volume_2 == pytest.approx(25.0, rel=1e-9)
         assert out.arb_count == 0
@@ -117,8 +110,7 @@ class TestSimulateTrades:
         # a loyal trade large enough to push pool 1 past the fee band
         pool1 = PoolState(1000.0, 1000.0, fee=0.003)
         pool2 = PoolState(1000.0, 1000.0, fee=0.003)
-        trades = [TradeEvent("a2b", 100.0, sticky_label=1)]
-        out, final1, final2 = replay_trades(pool1, pool2, trades)
+        out, final1, final2 = replay_trades(pool1, pool2, [TradeEvent("a2b", 100.0)], [1])
         assert out.rerouted_count == 0
         assert out.arb_count == 1
         # afterwards the prices sit inside the no-arbitrage band
@@ -131,8 +123,7 @@ class TestSimulateTrades:
         # pool 1 is tiny: executing there alone is >10% worse than routing
         pool1 = PoolState(100.0, 100.0, fee=0.003)
         pool2 = PoolState(10000.0, 10000.0, fee=0.003)
-        trades = [TradeEvent("a2b", 60.0, sticky_label=1)]
-        out = replay_trades(pool1, pool2, trades)[0]
+        out = replay_trades(pool1, pool2, [TradeEvent("a2b", 60.0)], [1])[0]
         assert out.rerouted_count == 1
         # the trade was split, so pool 2 got most of it
         assert out.volume_2 > out.volume_1
@@ -141,21 +132,23 @@ class TestSimulateTrades:
         # small enough to stay inside the fee band: no reroute, no arbitrage
         pool1 = PoolState(1000.0, 1000.0, fee=0.003)
         pool2 = PoolState(1000.0, 1000.0, fee=0.003)
-        out = replay_trades(pool1, pool2, [TradeEvent("a2b", 2.0, sticky_label=1)])[0]
+        out = replay_trades(pool1, pool2, [TradeEvent("a2b", 2.0)], [1])[0]
         assert out.rerouted_count == 0
         assert out.arb_count == 0
         assert out.volume_1 == pytest.approx(2.0, rel=1e-12)
         assert out.volume_2 == 0.0
 
     def test_bit_identical_replay(self):
-        trades = assign_sticky(lognormal_trace(800, 50.0), 0.1, 0.05, seed=3)
+        trades = lognormal_trace(800, 50.0)
+        labels = assign_sticky(trades, 0.1, 0.05, seed=3)
         pools = PoolState(5e5, 5e5, fee=0.003), PoolState(5e5, 5e5, fee=0.003)
-        assert replay_trades(*pools, trades)[0] == replay_trades(*pools, trades)[0]
+        assert replay_trades(*pools, trades, labels)[0] == replay_trades(*pools, trades, labels)[0]
 
     def test_fees_proportional_to_volume(self):
-        trades = assign_sticky(lognormal_trace(1000, 50.0), 0.15, 0.1, seed=9)
+        trades = lognormal_trace(1000, 50.0)
+        labels = assign_sticky(trades, 0.15, 0.1, seed=9)
         out = replay_trades(
-            PoolState(4e5, 4e5, fee=0.003), PoolState(6e5, 6e5, fee=0.003), trades
+            PoolState(4e5, 4e5, fee=0.003), PoolState(6e5, 6e5, fee=0.003), trades, labels
         )[0]
         assert out.fees_1 == pytest.approx(0.003 * out.volume_1, rel=1e-9)
         assert out.fees_2 == pytest.approx(0.003 * out.volume_2, rel=1e-9)
@@ -165,18 +158,20 @@ class TestSimulateTrades:
         # volume equals trace volume exactly
         rng = random.Random(31)
         trades = [TradeEvent("a2b", rng.uniform(1.0, 500.0)) for _ in range(500)]
-        trades += [TradeEvent("a2b", 40.0, sticky_label=1) for _ in range(100)]
+        trades += [TradeEvent("a2b", 40.0) for _ in range(100)]
+        labels = [0] * 500 + [1] * 100
         out = replay_trades(
-            PoolState(1e5, 1e5, fee=0.003), PoolState(1e5, 1e5, fee=0.003), trades
+            PoolState(1e5, 1e5, fee=0.003), PoolState(1e5, 1e5, fee=0.003), trades, labels
         )[0]
         executed = out.volume_1 + out.volume_2 - out.arb_volume_1 - out.arb_volume_2
         traced = sum(ev.amount_in for ev in trades)
         assert executed == pytest.approx(traced, rel=1e-9)
 
     def test_volume_conservation_mixed_trace(self):
-        trades = assign_sticky(lognormal_trace(2000, 30.0), 0.1, 0.05, seed=17)
+        trades = lognormal_trace(2000, 30.0)
+        labels = assign_sticky(trades, 0.1, 0.05, seed=17)
         out = replay_trades(
-            PoolState(1e6, 1e6, fee=0.003), PoolState(1e6, 1e6, fee=0.003), trades
+            PoolState(1e6, 1e6, fee=0.003), PoolState(1e6, 1e6, fee=0.003), trades, labels
         )[0]
         executed = out.volume_1 + out.volume_2 - out.arb_volume_1 - out.arb_volume_2
         traced = sum(ev.amount_in for ev in trades)
@@ -186,7 +181,7 @@ class TestSimulateTrades:
     def test_unbalanced_pools_rejected(self):
         with pytest.raises(ValueError):
             replay_trades(
-                PoolState(100.0, 100.0), PoolState(100.0, 150.0), [TradeEvent("a2b", 1.0)]
+                PoolState(100.0, 100.0), PoolState(100.0, 150.0), [TradeEvent("a2b", 1.0)], [0]
             )[0]
 
     def test_no_arbitrage_left_after_each_trade(self):
@@ -194,7 +189,6 @@ class TestSimulateTrades:
         pool1 = PoolState(2000.0, 2000.0, fee=0.003)
         pool2 = PoolState(8000.0, 8000.0, fee=0.003)
         rng = random.Random(61)
-        from takerate.cpmm import execute_swap
 
         for _ in range(200):
             direction = "a2b" if rng.random() < 0.5 else "b2a"
@@ -208,6 +202,108 @@ class TestSimulateTrades:
             if trade is not None:
                 pool1, pool2 = trade.pool1, trade.pool2
             assert arbitrage(pool1, pool2) is None
+
+
+    @pytest.mark.parametrize("labels", [[0], [0, 0, 0]])
+    def test_labels_must_match_trades_one_to_one(self, labels):
+        pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
+        trades = [TradeEvent("a2b", 5.0), TradeEvent("b2a", 5.0)]
+        with pytest.raises(ValueError, match="labels"):
+            replay_trades(*pools, trades, labels)
+
+    @pytest.mark.parametrize("label", [-1, 3, None])
+    def test_label_outside_range_rejected(self, label):
+        pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
+        with pytest.raises(ValueError, match="labels"):
+            replay_trades(*pools, [TradeEvent("a2b", 5.0)], [label])
+
+    def test_out_of_scale_trace_rejected(self):
+        # one trace ended in a math domain error, the other returned a pool
+        # whose token-1 reserve had rounded to 0.0
+        small = PoolState(1e3, 1e3)
+        big_round_trip = [TradeEvent("a2b", 1e22), TradeEvent("b2a", 1e22), TradeEvent("a2b", 5.0)]
+        with pytest.raises(TraceScaleError, match="reserves"):
+            replay_trades(small, small, big_round_trip, [0, 0, 0])
+        with_fee = PoolState(1e3, 1e3, fee=0.003)
+        with pytest.raises(TraceScaleError, match="reserves"):
+            replay_trades(with_fee, with_fee, [TradeEvent("a2b", 1e200)], [0])
+
+
+def reference_step(pool1, pool2, trade, label, threshold):
+    """One trade of the replay composed from cpmm: route, execute, arbitrage.
+
+    Routing follows the convex formulation of Angeris et al., "Optimal
+    Routing for CFMMs" (arXiv:2204.05238), solved by cpmm.optimal_split.  A
+    loyal trade reroutes when its own pool's output falls short of the
+    optimal route's by more than threshold times the latter.  Volumes are
+    token-0: a token-1 leg converts at its pool's pre-trade price.  Returns
+    the new pools and the tallies of SimOutcome for this one trade.
+    """
+    pools = [pool1, pool2]
+    split = optimal_split(pools, trade.amount_in, trade.direction)
+    amounts = split.amounts
+    rerouted = 0
+    if label:
+        direct = quote(pools[label - 1], trade.amount_in, trade.direction)
+        if split.total_out - direct > threshold * split.total_out:
+            rerouted = 1
+        else:
+            amounts = (trade.amount_in, 0.0) if label == 1 else (0.0, trade.amount_in)
+
+    volume = [0.0, 0.0]
+    for i, x in enumerate(amounts):
+        if x > 0.0:
+            pool = pools[i]
+            volume[i] += x if trade.direction == "a2b" else x * pool.reserve_a / pool.reserve_b
+            pools[i] = execute_swap(pool, x, trade.direction)[1]
+
+    arb_volume = [0.0, 0.0]
+    arb = arbitrage(*pools)
+    if arb is not None:
+        into, back = arb.pool_in - 1, 2 - arb.pool_in
+        arb_volume[into] = arb.amount_in
+        arb_volume[back] = arb.amount_mid * pools[back].reserve_a / pools[back].reserve_b
+        pools = [arb.pool1, arb.pool2]
+    volume = [v + a for v, a in zip(volume, arb_volume)]
+    outcome = SimOutcome(
+        volume_1=volume[0],
+        volume_2=volume[1],
+        fees_1=pool1.fee * volume[0],
+        fees_2=pool2.fee * volume[1],
+        arb_count=int(arb is not None),
+        rerouted_count=rerouted,
+        arb_volume_1=arb_volume[0],
+        arb_volume_2=arb_volume[1],
+    )
+    return outcome, pools[0], pools[1]
+
+
+class TestReplayAgainstCpmm:
+    """The hand-inlined replay kernel equals cpmm's math, trade by trade."""
+
+    @pytest.mark.parametrize("fees", [(0.003, 0.003), (0.003, 0.001)])
+    def test_each_trade_matches_reference_step(self, fees):
+        rng = random.Random(2204)
+        trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
+        labels = [rng.choice([0, 0, 1, 2]) for _ in trades]
+        # pool 1 is small enough that its loyal trades above ~600 reroute
+        pool1 = PoolState(5e3, 5e3, fee=fees[0])
+        pool2 = PoolState(2e4, 2e4, fee=fees[1])
+        tallies = [0, 0]
+        for trade, label in zip(trades, labels):
+            out, new1, new2 = replay_trades(pool1, pool2, [trade], [label])
+            ref, ref1, ref2 = reference_step(pool1, pool2, trade, label, 0.1)
+            assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
+            for field in ("volume_1", "volume_2", "fees_1", "fees_2", "arb_volume_1", "arb_volume_2"):
+                assert getattr(out, field) == pytest.approx(getattr(ref, field), rel=1e-9), field
+            for got, want in ((new1, ref1), (new2, ref2)):
+                for field in ("reserve_a", "reserve_b", "fee_ledger_a", "fee_ledger_b"):
+                    assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9), field
+            tallies[0] += ref.arb_count
+            tallies[1] += ref.rerouted_count
+            pool1, pool2 = ref1, ref2
+        # both the arbitrage and the reroute branches ran
+        assert min(tallies) > 0
 
 
 class TestFindEquilibrium:
@@ -364,7 +460,8 @@ class TestSweepTakeRate:
         for i in range(21):
             t1 = min(1.0, i * 0.05)
             eq = find_equilibrium(replace(params, t1=t1), trades, 1e6, 0.02, seed=9)
-            expected.append(SweepSample(t1=t1, l1=eq.l1, rev1=eq.rev1, r1=eq.r1, r2=eq.r2))
+            assert eq.t1 == t1
+            expected.append(eq)
         assert curve.samples == tuple(expected)
         shares = {s.l1 for s in curve.samples}
         assert {0.0, 1.0} <= shares
@@ -383,12 +480,12 @@ class TestSweepTakeRate:
 
             monkeypatch.setattr(simulation, name, wrapper)
 
-        count("_sticky_labels", lambda args, kwargs: None)
+        count("assign_sticky", lambda args, kwargs: None)
         count("_replay_two", lambda args, kwargs: (args[0], args[3]))  # (L1, L2)
         count("_replay_single", lambda args, kwargs: kwargs["own_label"])
         trades = lognormal_trace(400, 30.0)
         sweep_take_rate(params, trades, 1e6, take_step=0.05, liquidity_step=0.02, seed=9)
-        assert len(calls["_sticky_labels"]) == 1
+        assert len(calls["assign_sticky"]) == 1
         splits = calls["_replay_two"]
         assert len(splits) == len(set(splits))
         assert len(splits) <= 49  # the interior grid {0.02, ..., 0.98}
