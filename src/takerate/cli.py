@@ -17,6 +17,7 @@ flag and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -318,6 +319,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             out = cmd_gen_trace(spec, args.out)
             print(f"wrote {out} ({spec.n_trades} trades)")
+        # a closed stdout must fail here, inside the try, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`) after every file was
+        # written.  Point stdout at devnull so the exit-time flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, TraceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

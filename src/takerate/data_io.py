@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .analytical import ModelParams, check_step
-from .simulation import TradeEvent
+from .simulation import TradeEvent, check_deviation_threshold
 
 
 class TraceFormatError(ValueError):
@@ -89,7 +89,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "params", params)
-        for name in ("L_total", "take_step", "liquidity_step", "deviation_threshold"):
+        for name in ("L_total", "take_step", "liquidity_step"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
@@ -98,10 +98,9 @@ class ScenarioConfig:
         try:
             check_step("take_step", self.take_step)
             check_step("liquidity_step", self.liquidity_step)
+            check_deviation_threshold(self.deviation_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.deviation_threshold < 0.0:
-            raise ConfigError("deviation_threshold must be nonnegative")
         if not self.trace:
             raise ConfigError("trace must name a CSV file or 'synthetic'")
 
@@ -128,21 +127,16 @@ def load_trades(path: Union[str, Path]) -> list[TradeEvent]:
             if len(row) != 2:
                 raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             direction, raw_amount = row[0].strip(), row[1].strip()
-            if direction not in ("a2b", "b2a"):
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: direction must be a2b or b2a, got {direction!r}"
-                )
             try:
                 amount = float(raw_amount)
             except ValueError:
                 raise TraceFormatError(
                     f"{path}: line {lineno}: amount_in is not a number: {raw_amount!r}"
                 ) from None
-            if not amount > 0.0 or not math.isfinite(amount):
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: amount_in must be positive, got {raw_amount}"
-                )
-            trades.append(TradeEvent(direction, amount))
+            try:
+                trades.append(TradeEvent(direction, amount))
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
     if not trades:
         warnings.warn(f"trace file {path} contains no trades")
     return trades

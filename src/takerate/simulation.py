@@ -12,8 +12,9 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    arbitrage round trip, if any, is executed.
 3. find_equilibrium scans a discrete grid of liquidity splits for the point
    where r1*(1+d) = r2, capturing full migration to either pool at the grid
-   edges.  The replay tallies it reads come from a cell table keyed by grid
-   index, plus one single-pool entry per edge, filled on first use.
+   edges.  The replay outcomes it reads come from a cell table keyed by grid
+   index 0..m, filled on first use: cells 1..m-1 replay two pools, and the
+   end cells 0 and m replay the single pool that holds all the liquidity.
 4. sweep_take_rate repeats the equilibrium search across a take-rate grid
    and reports the revenue curve.  A replay does not depend on t1, t2 or d,
    which enter only the residual (1-t1)*fee1/L1*(1+d) - (1-t2)*fee2/L2 and
@@ -80,9 +81,11 @@ class TradeEvent:
 class SimOutcome:
     """Aggregates of one trace replay, all token-0 normalized.
 
-    volume_i includes arbitrage legs (broken out again in arb_volume_i), and
-    fees_i is the fee revenue f * volume_i, which differs from the pools' raw
-    per-asset ledgers only by the price conversion.
+    Both replay kernels build one per replay.  volume_i includes arbitrage
+    legs (broken out again in arb_volume_i), and fees_i is the fee revenue
+    f * volume_i, which differs from the pools' raw per-asset ledgers only by
+    the price conversion.  A single-pool replay leaves the missing pool's
+    tallies at zero.
     """
 
     volume_1: float
@@ -91,8 +94,8 @@ class SimOutcome:
     fees_2: float
     arb_count: int
     rerouted_count: int
-    arb_volume_1: float = 0.0
-    arb_volume_2: float = 0.0
+    arb_volume_1: float
+    arb_volume_2: float
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,9 @@ def assign_sticky(
     """
     if not trades:
         raise ValueError("trade list must not be empty")
-    if s1 < 0.0 or s2 < 0.0 or s1 + s2 > 1.0:
-        raise ValueError("sticky rates must be nonnegative with s1 + s2 <= 1")
+    # written so that NaN fails too
+    if not (s1 >= 0.0 and s2 >= 0.0 and s1 + s2 <= 1.0):
+        raise ValueError(f"sticky rates must be nonnegative with s1 + s2 <= 1, got {s1}, {s2}")
     labels = [0] * len(trades)
     if s1 + s2 == 0.0:
         return labels
@@ -157,6 +161,12 @@ def assign_sticky(
     return labels
 
 
+def check_deviation_threshold(value: float) -> None:
+    """Raise ValueError unless deviation_threshold is finite and nonnegative."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"deviation_threshold must be finite and nonnegative, got {value}")
+
+
 def _compile(trades: Sequence[TradeEvent], labels: Sequence[int]) -> list[tuple[bool, float, int]]:
     """Pack trades and their labels into (is_a2b, amount, label) replay tuples."""
     return [(ev.direction == "a2b", ev.amount_in, lab) for ev, lab in zip(trades, labels)]
@@ -165,8 +175,9 @@ def _compile(trades: Sequence[TradeEvent], labels: Sequence[int]) -> list[tuple[
 def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
     """Replay a compiled trace against two pools; the hot loop of the module.
 
-    Returns final reserves, per-asset fee ledger increments, token-0
-    normalized volume and fee tallies, arbitrage volumes and event counts.
+    Returns the SimOutcome and, for each pool, its final reserves and the
+    per-asset fee ledger increments: (outcome, (a1, b1, la1, lb1),
+    (a2, b2, la2, lb2)).
     """
     sqrt = math.sqrt
     g1 = 1.0 - f1
@@ -293,22 +304,22 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                         arb_vol2 += v2_
                         arb_count += 1
 
-    return (
-        a1, b1, la1, lb1,
-        a2, b2, la2, lb2,
-        vol1, vol2, fee1, fee2,
-        arb_vol1, arb_vol2, arb_count, rerouted,
+    outcome = SimOutcome(
+        volume_1=vol1, volume_2=vol2, fees_1=fee1, fees_2=fee2,
+        arb_count=arb_count, rerouted_count=rerouted,
+        arb_volume_1=arb_vol1, arb_volume_2=arb_vol2,
     )
+    return outcome, (a1, b1, la1, lb1), (a2, b2, la2, lb2)
 
 
 def _replay_single(a, b, f, compiled, own_label):
-    """Replay with one surviving pool: everything executes there.
+    """Replay with one surviving pool, pool `own_label`: everything executes there.
 
-    Trades loyal to the missing pool count as rerouted.  Returns the same
-    tally layout as _replay_two with the dead pool zeroed.
+    Trades loyal to the missing pool count as rerouted.  Returns a SimOutcome
+    whose missing pool has zero tallies; nothing arbitrages against one pool.
     """
     g = 1.0 - f
-    la = lb = vol = fee = 0.0
+    vol = fee = 0.0
     rerouted = 0
     for is_a2b, amt, lab in compiled:
         if lab != 0 and lab != own_label:
@@ -318,16 +329,19 @@ def _replay_single(a, b, f, compiled, own_label):
             v = amt
             a += g * amt
             b -= out
-            la += f * amt
         else:
             out = a * g * amt / (b + g * amt)
             v = amt * a / b
             b += g * amt
             a -= out
-            lb += f * amt
         vol += v
         fee += f * v
-    return a, b, la, lb, vol, fee, rerouted
+    vol1, fee1, vol2, fee2 = (vol, fee, 0.0, 0.0) if own_label == 1 else (0.0, 0.0, vol, fee)
+    return SimOutcome(
+        volume_1=vol1, volume_2=vol2, fees_1=fee1, fees_2=fee2,
+        arb_count=0, rerouted_count=rerouted,
+        arb_volume_1=0.0, arb_volume_2=0.0,
+    )
 
 
 def replay_trades(
@@ -343,8 +357,7 @@ def replay_trades(
     routed, 1 or 2 for loyal to that pool.  A trace out of scale with the
     pools raises TraceScaleError before any trade is replayed.
     """
-    if deviation_threshold < 0.0:
-        raise ValueError("deviation_threshold must be nonnegative")
+    check_deviation_threshold(deviation_threshold)
     if len(labels) != len(trades):
         raise ValueError(f"labels has {len(labels)} entries for {len(trades)} trades")
     if any(lab not in (0, 1, 2) for lab in labels):
@@ -366,50 +379,32 @@ def replay_trades(
         "the pools' combined reserves",
     )
 
-    (
-        a1, b1, la1, lb1,
-        a2, b2, la2, lb2,
-        vol1, vol2, fee1, fee2,
-        arb_vol1, arb_vol2, arb_count, rerouted,
-    ) = _replay_two(
+    outcome, end1, end2 = _replay_two(
         a1, b1, pool1.fee, a2, b2, pool2.fee, _compile(trades, labels), deviation_threshold
     )
-    outcome = SimOutcome(
-        volume_1=vol1,
-        volume_2=vol2,
-        fees_1=fee1,
-        fees_2=fee2,
-        arb_count=arb_count,
-        rerouted_count=rerouted,
-        arb_volume_1=arb_vol1,
-        arb_volume_2=arb_vol2,
+    return outcome, _end_state(pool1, *end1), _end_state(pool2, *end2)
+
+
+def _end_state(pool: PoolState, a: float, b: float, la: float, lb: float) -> PoolState:
+    """The pool after a replay: final reserves, fee ledgers grown by la and lb."""
+    return replace(
+        pool,
+        reserve_a=a,
+        reserve_b=b,
+        fee_ledger_a=pool.fee_ledger_a + la,
+        fee_ledger_b=pool.fee_ledger_b + lb,
     )
-    final1 = replace(
-        pool1,
-        reserve_a=a1,
-        reserve_b=b1,
-        fee_ledger_a=pool1.fee_ledger_a + la1,
-        fee_ledger_b=pool1.fee_ledger_b + lb1,
-    )
-    final2 = replace(
-        pool2,
-        reserve_a=a2,
-        reserve_b=b2,
-        fee_ledger_a=pool2.fee_ledger_a + la2,
-        fee_ledger_b=pool2.fee_ledger_b + lb2,
-    )
-    return outcome, final1, final2
 
 
 class _CellTable:
-    """Replay tallies of one labelled trace, filled lazily by liquidity split.
+    """Replay outcomes of one labelled trace, filled lazily by liquidity split.
 
     A replay depends on the split, the fee, L_total, the threshold and the
     labels, but not on t1, t2 or d, so one table serves every take rate of a
-    sweep.  Grid cells are keyed by index i (share i * step); the two
-    boundary entries hold the single-pool replay with all liquidity in pool
-    1 or pool 2.  Replays go through the module-level _replay_two and
-    _replay_single.
+    sweep.  Cells are keyed by grid index i in 0..m, pool 1 holding share(i)
+    of L_total.  Cells 1..m-1 replay both pools through the module-level
+    _replay_two; cell 0 (all liquidity in pool 2) and cell m (all in pool 1)
+    replay the surviving pool through _replay_single.
     """
 
     def __init__(
@@ -425,6 +420,7 @@ class _CellTable:
         if L_total <= 0.0:
             raise ValueError("L_total must be positive")
         check_step("liquidity_step", liquidity_step)
+        check_deviation_threshold(deviation_threshold)
         if params.f <= 0.0:
             raise ValueError("the simulation needs a positive trading fee to compare ROIs")
         self.compiled = _compile(trades, assign_sticky(trades, params.s1, params.s2, seed))
@@ -437,29 +433,31 @@ class _CellTable:
         self.f = params.f
         self.step = liquidity_step
         self.threshold = deviation_threshold
-        self._cells: dict = {}
-        self._boundaries: dict = {}
+        self._cells: dict[int, SimOutcome] = {}
 
-    def cell(self, i: int):
-        """_replay_two tallies at grid share i * step."""
-        tallies = self._cells.get(i)
-        if tallies is None:
-            l1 = i * self.step
-            L1 = l1 * self.L_total
-            L2 = (1.0 - l1) * self.L_total
-            tallies = self._cells[i] = _replay_two(
-                L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold
-            )
-        return tallies
+    def share(self, i: int) -> float:
+        """Pool 1's liquidity share at index i: i * step, and exactly 1 at m."""
+        # m * step misses 1.0 for steps such as 0.3
+        return 1.0 if i == self.m else i * self.step
 
-    def boundary(self, side: int):
-        """_replay_single tallies with all liquidity in pool `side`."""
-        tallies = self._boundaries.get(side)
-        if tallies is None:
-            tallies = self._boundaries[side] = _replay_single(
-                self.L_total, self.L_total, self.f, self.compiled, own_label=side
-            )
-        return tallies
+    def cell(self, i: int) -> SimOutcome:
+        """The replay outcome at index i, replayed on first use."""
+        outcome = self._cells.get(i)
+        if outcome is None:
+            if i == 0 or i == self.m:
+                outcome = _replay_single(
+                    self.L_total, self.L_total, self.f, self.compiled,
+                    own_label=1 if i == self.m else 2,
+                )
+            else:
+                l1 = self.share(i)
+                L1 = l1 * self.L_total
+                L2 = (1.0 - l1) * self.L_total
+                outcome = _replay_two(
+                    L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold
+                )[0]
+            self._cells[i] = outcome
+        return outcome
 
 
 def _check_scale(largest: float, volume: float, reserves: float, L_min: float, name: str) -> None:
@@ -476,70 +474,48 @@ def _check_scale(largest: float, volume: float, reserves: float, L_min: float, n
     )
 
 
-def _boundary_result(params: ModelParams, table: _CellTable, side: int) -> EquilibriumResult:
-    """All liquidity in pool `side`; the other pool's loyalists reroute."""
-    t_own = params.t1 if side == 1 else params.t2
-    _, _, _, _, vol, fee, _ = table.boundary(side)
-    r_own = (1.0 - t_own) * fee / table.L_total
-    rev1 = params.t1 * fee / (table.total_volume * params.f) if side == 1 else 0.0
-    t1 = params.t1
-    if side == 1:
-        return EquilibriumResult(t1=t1, l1=1.0, v1=vol, v2=0.0, r1=r_own, r2=None, rev1=rev1)
-    return EquilibriumResult(t1=t1, l1=0.0, v1=0.0, v2=vol, r1=None, r2=r_own, rev1=rev1)
-
-
-def _search(
-    params: ModelParams, table: _CellTable, *, full_scan: bool = False
-) -> EquilibriumResult:
+def _search(params: ModelParams, table: _CellTable) -> EquilibriumResult:
     """The equilibrium search of find_equilibrium over one cell table."""
     L_total = table.L_total
-    step = table.step
     one_minus_t1 = 1.0 - params.t1
     one_minus_t2 = 1.0 - params.t2
     one_plus_d = 1.0 + params.d
 
-    def cell(i: int):
-        l1 = i * step
+    def cell(i: int) -> EquilibriumResult:
+        o = table.cell(i)
+        l1 = table.share(i)
         L1 = l1 * L_total
         L2 = (1.0 - l1) * L_total
-        vol1, vol2, fee1, fee2, arb_vol1, arb_vol2 = table.cell(i)[8:14]
-        r1 = one_minus_t1 * fee1 / L1
-        r2 = one_minus_t2 * fee2 / L2
-        residual = r1 * one_plus_d - r2
-        result = EquilibriumResult(
+        return EquilibriumResult(
             t1=params.t1,
             l1=l1,
-            v1=vol1 - arb_vol1,
-            v2=vol2 - arb_vol2,
-            r1=r1,
-            r2=r2,
-            rev1=params.t1 * fee1 / (table.total_volume * params.f),
+            v1=o.volume_1 - o.arb_volume_1,
+            v2=o.volume_2 - o.arb_volume_2,
+            r1=one_minus_t1 * o.fees_1 / L1 if L1 > 0.0 else None,
+            r2=one_minus_t2 * o.fees_2 / L2 if L2 > 0.0 else None,
+            rev1=params.t1 * o.fees_1 / (table.total_volume * params.f),
         )
-        return residual, result
+
+    def interior(i: int) -> tuple[float, EquilibriumResult]:
+        result = cell(i)
+        return result.r1 * one_plus_d - result.r2, result
 
     m = table.m
     low_i, high_i = 1, m - 1
-    res_low, cell_low = cell(low_i)
-    res_high, cell_high = cell(high_i)
+    evaluated = {low_i: interior(low_i), high_i: interior(high_i)}
+    if evaluated[high_i][0] > 0.0:
+        return cell(m)
+    if evaluated[low_i][0] < 0.0:
+        return cell(0)
 
-    if res_high > 0.0:
-        return _boundary_result(params, table, side=1)
-    if res_low < 0.0:
-        return _boundary_result(params, table, side=2)
-
-    evaluated = {low_i: (res_low, cell_low), high_i: (res_high, cell_high)}
-    if full_scan:
-        for i in range(low_i + 1, high_i):
-            evaluated[i] = cell(i)
-    else:
-        # res decreases with the share: maintain res(low) >= 0 >= res(high)
-        while high_i - low_i > 1:
-            mid = (low_i + high_i) // 2
-            evaluated[mid] = cell(mid)
-            if evaluated[mid][0] > 0.0:
-                low_i = mid
-            else:
-                high_i = mid
+    # res decreases with the share: maintain res(low) >= 0 >= res(high)
+    while high_i - low_i > 1:
+        mid = (low_i + high_i) // 2
+        evaluated[mid] = interior(mid)
+        if evaluated[mid][0] > 0.0:
+            low_i = mid
+        else:
+            high_i = mid
 
     best_i = min(evaluated, key=lambda i: (abs(evaluated[i][0]), -i))
     # ties within 1e-12 go to the larger share
@@ -559,20 +535,20 @@ def find_equilibrium(
     *,
     seed: int = 0,
     deviation_threshold: float = 0.1,
-    full_scan: bool = False,
 ) -> EquilibriumResult:
     """Liquidity split where replayed LP returns satisfy r1*(1+d) = r2.
 
     Sticky labels are assigned from params.s1/params.s2 with the given seed,
     then the trace is replayed for liquidity shares on the grid {step, ...,
-    1-step} and the share minimizing |r1*(1+d) - r2| is returned.  If pool 1
-    is still the better deal at 1-step the result is l1 = 1 (full migration),
-    and symmetrically l1 = 0.  The residual is monotone in the share, so by
-    default the grid minimum is located by bracketing instead of evaluating
-    every cell; full_scan forces the exhaustive scan.
+    1-step} and the share minimizing |r1*(1+d) - r2| is returned, ties within
+    1e-12 going to the larger share.  If pool 1 is still the better deal at
+    1-step the result is l1 = 1 (full migration, a single-pool replay with
+    r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual is
+    monotone in the share, so the grid minimum is located by bracketing
+    instead of evaluating every cell.
     """
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
-    return _search(params, table, full_scan=full_scan)
+    return _search(params, table)
 
 
 def sweep_take_rate(

@@ -1,7 +1,13 @@
 """End-to-end CLI tests: output files, determinism, error reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import takerate
 from takerate.cli import cmd_analyze, cmd_simulate, main
 from takerate.data_io import load_config, load_trades
 
@@ -205,3 +211,36 @@ class TestErrors:
         assert main(["simulate", str(cfg_path), "--take-step", "0.7"]) == 1
         err = capsys.readouterr().err
         assert "take_step" in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`| head -0`) does not fail a finished run."""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "command, written", [("analyze", ["curve.csv", "report.txt"]),
+                             ("simulate", ["sweep.csv", "sweep.svg", "report.txt"])]
+    )
+    def test_exit_zero_and_files_written(self, tmp_path, command, written, buffered):
+        cfg_path = write_cfg(tmp_path, NO_STICKY_CFG)
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        src = str(Path(takerate.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # buffered stdout fails at the final flush, unbuffered at the first print
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "takerate.cli", command, str(cfg_path),
+                 "--take-step", "0.1", "--out-dir", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)

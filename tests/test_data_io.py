@@ -210,6 +210,14 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", liquidity_step=0.0)
 
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+    def test_deviation_threshold_rule(self, threshold):
+        # the same rule, and message, as replay_trades and find_equilibrium
+        with pytest.raises(ConfigError, match="deviation_threshold must be finite and nonnegative"):
+            ScenarioConfig(
+                t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", deviation_threshold=threshold
+            )
+
     def test_sticky_sum(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(t2=0.0, s1=0.6, s2=0.5, f=0.003, L_total=1e6, trace="x")

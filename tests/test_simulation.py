@@ -85,6 +85,12 @@ class TestAssignSticky:
         with pytest.raises(ValueError):
             assign_sticky([TradeEvent("a2b", 1.0)], 0.7, 0.4)
 
+    @pytest.mark.parametrize("s1, s2", [(math.nan, 0.0), (0.0, math.nan), (0.1, math.nan)])
+    def test_nan_rate_rejected(self, s1, s2):
+        # a NaN rate used to label every trade loyal to pool 2
+        with pytest.raises(ValueError, match="sticky rates"):
+            assign_sticky(lognormal_trace(20, 10.0), s1, s2)
+
 
 class TestTradeEvent:
     @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 0.0, -1.0])
@@ -217,6 +223,13 @@ class TestSimulateTrades:
         with pytest.raises(ValueError, match="labels"):
             replay_trades(*pools, [TradeEvent("a2b", 5.0)], [label])
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.5])
+    def test_deviation_threshold_must_be_finite_and_nonnegative(self, threshold):
+        # NaN and inf used to disable rerouting silently
+        pools = PoolState(100.0, 100.0, fee=0.003), PoolState(1e4, 1e4, fee=0.003)
+        with pytest.raises(ValueError, match="deviation_threshold must be finite and nonnegative"):
+            replay_trades(*pools, [TradeEvent("a2b", 60.0)], [1], deviation_threshold=threshold)
+
     def test_out_of_scale_trace_rejected(self):
         # one trace ended in a math domain error, the other returned a pool
         # whose token-1 reserve had rounded to 0.0
@@ -305,6 +318,35 @@ class TestReplayAgainstCpmm:
         # both the arbitrage and the reroute branches ran
         assert min(tallies) > 0
 
+    @pytest.mark.parametrize("fee", [0.003, 0.01])
+    @pytest.mark.parametrize("own_label", [1, 2])
+    def test_single_pool_replay_matches_swap_chain(self, own_label, fee):
+        rng = random.Random(2204)
+        trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
+        labels = [rng.choice([0, 0, 1, 2]) for _ in trades]
+        L = 2e4
+        compiled = simulation._compile(trades, labels)
+        out = simulation._replay_single(L, L, fee, compiled, own_label=own_label)
+
+        # every trade executes in the one pool; a token-1 leg and its fee
+        # convert to token-0 at the pre-trade price
+        pool = PoolState(L, L, fee=fee)
+        volume = fees = 0.0
+        for trade in trades:
+            price = pool.reserve_a / pool.reserve_b
+            before = pool.fee_ledger_a + pool.fee_ledger_b * price
+            volume += trade.amount_in if trade.direction == "a2b" else trade.amount_in * price
+            pool = execute_swap(pool, trade.amount_in, trade.direction)[1]
+            fees += pool.fee_ledger_a + pool.fee_ledger_b * price - before
+        rerouted = sum(1 for lab in labels if lab not in (0, own_label))
+
+        own, other = (1, 2) if own_label == 1 else (2, 1)
+        assert getattr(out, f"volume_{own}") == pytest.approx(volume, rel=1e-9)
+        assert getattr(out, f"fees_{own}") == pytest.approx(fees, rel=1e-9)
+        assert out.rerouted_count == rerouted > 0
+        assert getattr(out, f"volume_{other}") == getattr(out, f"fees_{other}") == 0.0
+        assert (out.arb_count, out.arb_volume_1, out.arb_volume_2) == (0, 0.0, 0.0)
+
 
 class TestFindEquilibrium:
     def test_symmetric_scenario_splits_evenly(self):
@@ -332,14 +374,53 @@ class TestFindEquilibrium:
         assert eq.l1 == pytest.approx(4.0 / 9.0, abs=0.02)
         assert eq.r1 is not None and eq.r2 is not None
 
+    @staticmethod
+    def full_scan(params, trades, L_total, liquidity_step):
+        """(l1, rev1) of the exhaustive search: every interior cell's residual."""
+        table = simulation._CellTable(params, trades, L_total, liquidity_step, 0, 0.1)
+        m = table.m
+
+        def residual(i):
+            o, l1 = table.cell(i), table.share(i)
+            r1 = (1.0 - params.t1) * o.fees_1 / (l1 * L_total)
+            r2 = (1.0 - params.t2) * o.fees_2 / ((1.0 - l1) * L_total)
+            return r1 * (1.0 + params.d) - r2
+
+        res = {i: residual(i) for i in range(1, m)}
+        if res[m - 1] > 0.0:
+            best = m  # pool 1 still the better deal: full migration
+        elif res[1] < 0.0:
+            best = 0
+        else:
+            # ties within 1e-12 go to the larger share
+            least = min(abs(r) for r in res.values())
+            best = max(i for i, r in res.items() if abs(r) <= least + 1e-12)
+        rev1 = params.t1 * table.cell(best).fees_1 / (table.total_volume * params.f)
+        return table.share(best), rev1
+
     def test_bracketing_matches_full_scan(self):
         trades = lognormal_trace(600, 30.0)
-        for t1, s1, s2, d in [(0.2, 0.1, 0.0, 0.0), (0.15, 0.1, 0.05, 0.0), (0.25, 0.2, 0.1, 0.1)]:
+        # three interior equilibria, then full migration to pool 1 and to pool 2
+        cases = [(0.2, 0.1, 0.0, 0.0), (0.15, 0.1, 0.05, 0.0), (0.25, 0.2, 0.1, 0.1),
+                 (0.02, 0.0, 0.0, 0.0), (0.3, 0.0, 0.0, 0.0)]
+        shares = []
+        for t1, s1, s2, d in cases:
             params = ModelParams(t1=t1, t2=0.05, s1=s1, s2=s2, d=d, f=0.003)
             fast = find_equilibrium(params, trades, 1e6, liquidity_step=0.02)
-            slow = find_equilibrium(params, trades, 1e6, liquidity_step=0.02, full_scan=True)
-            assert fast.l1 == slow.l1
-            assert fast.rev1 == slow.rev1
+            assert (fast.l1, fast.rev1) == self.full_scan(params, trades, 1e6, 0.02)
+            shares.append(fast.l1)
+        assert all(0.0 < l1 < 1.0 for l1 in shares[:3]) and shares[3:] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+    def test_deviation_threshold_must_be_finite_and_nonnegative(self, threshold):
+        # these used to run: -1.0 rerouted every loyal trade and NaN none
+        params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
+        trades = lognormal_trace(50, 5.0)
+        match = "deviation_threshold must be finite and nonnegative"
+        with pytest.raises(ValueError, match=match):
+            find_equilibrium(params, trades, 1e6, deviation_threshold=threshold)
+        with pytest.raises(ValueError, match=match):
+            sweep_take_rate(params, trades, 1e6, deviation_threshold=threshold)
 
     def test_zero_fee_rejected(self):
         params = ModelParams(t1=0.1, t2=0.0, s1=0.1, f=0.0)
