@@ -60,12 +60,11 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         # The range checks also reject NaN and inf; d and V need their own.
-        for name in ("t1", "t2", "s1", "s2"):
+        for name in ("t1", "t2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.s1 + self.s2 > 1.0:
-            raise ValueError("s1 + s2 must not exceed 1")
+        check_sticky_rates(self.s1, self.s2)
         if not math.isfinite(self.d):
             raise ValueError(f"d must be finite, got {self.d}")
         if self.d < 0.0:
@@ -76,6 +75,16 @@ class ModelParams:
             raise ValueError(f"V must be finite, got {self.V}")
         if self.V <= 0.0:
             raise ValueError(f"V must be positive, got {self.V}")
+
+
+def check_sticky_rates(s1: float, s2: float) -> None:
+    """Raise ValueError unless s1, s2 lie in [0, 1] with s1 + s2 <= 1; NaN fails."""
+    if s1 >= 0.0 and s2 >= 0.0 and s1 + s2 <= 1.0:
+        return
+    for name, v in (("s1", s1), ("s2", s2)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    raise ValueError(f"s1 + s2 must not exceed 1, got {s1} + {s2}")
 
 
 @dataclass(frozen=True)
@@ -219,9 +228,13 @@ def check_step(name: str, step: float) -> None:
 
 
 def take_rate_grid(take_step: float) -> list[float]:
-    """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1)."""
+    """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1).
+
+    The count allows 1e-9 below a whole number, so 0.3 takes 4 steps (0.9,
+    then 1) and 1/49, whose float reciprocal is 49.00000000000001, takes 49.
+    """
     check_step("take_step", take_step)
-    return [min(1.0, i * take_step) for i in range(round(1.0 / take_step) + 1)]
+    return [min(1.0, i * take_step) for i in range(math.ceil(1.0 / take_step - 1e-9) + 1)]
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

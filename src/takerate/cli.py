@@ -9,9 +9,11 @@ Three commands:
   report.txt.
 * ``gen-trace OUT``: synthesize a trace CSV for later runs.
 
-Flags mirror config keys and take precedence over them.  Exit status is 0
-only for a completed run; validation problems report the offending key or
-flag and exit nonzero.
+A flag named after a config key replaces that key in the run's one
+ScenarioConfig, which checks it like a file value, so report.txt lists what
+ran; --seed reseeds the labelling, not a synthetic trace.  gen-trace flags
+replace SyntheticSpec fields.  Exit status is 0 only for a completed run;
+validation problems report the offending key or flag and exit nonzero.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ from .svg import write_line_chart
 # equilibrium (the no-sticky tie t1 = t2); the midpoint marks indifference.
 _INDETERMINATE_SHARE = 0.5
 
+# Flags that replace the config key or SyntheticSpec field of the same name.
+_CONFIG_FLAGS = ("take_step", "liquidity_step", "seed")
+_SPEC_FLAGS = ("n_trades", "size_mu", "size_sigma", "direction_bias", "seed")
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -84,11 +90,12 @@ def _analytic_point(params: ModelParams, L_total: float) -> EquilibriumResult:
         )
 
 
-def _analytic_curve(base: ModelParams, L_total: float, take_step: float) -> SweepCurve:
+def _analytic_curve(config: ScenarioConfig) -> SweepCurve:
     samples = tuple(
-        _analytic_point(replace(base, t1=t1), L_total) for t1 in take_rate_grid(take_step)
+        _analytic_point(replace(config.params, t1=t1), config.L_total)
+        for t1 in take_rate_grid(config.take_step)
     )
-    return SweepCurve(samples=samples, grid_step=take_step)
+    return SweepCurve(samples=samples)
 
 
 def _write_curve_csv(path: Path, curve: SweepCurve, reference: Optional[SweepCurve], simulated: bool) -> None:
@@ -120,7 +127,7 @@ def _write_report(path: Path, report: RunReport) -> None:
         f"f = {_fmt(cfg.f)}",
         f"L_total = {_fmt(cfg.L_total)}",
         f"trace = {cfg.trace}",
-        f"take_step = {_fmt(report.curve.grid_step)}",
+        f"take_step = {_fmt(cfg.take_step)}",
         f"liquidity_step = {_fmt(cfg.liquidity_step)}",
         f"deviation_threshold = {_fmt(cfg.deviation_threshold)}",
         f"seed = {cfg.seed}",
@@ -149,14 +156,9 @@ def _write_chart(path: Path, curve: SweepCurve, title: str) -> None:
     )
 
 
-def cmd_analyze(
-    config: ScenarioConfig,
-    take_step: Optional[float] = None,
-    out_dir: str | Path = ".",
-) -> RunReport:
+def cmd_analyze(config: ScenarioConfig, out_dir: str | Path = ".") -> RunReport:
     """Closed-form sweep: l1(t1), rev1(t1) and the optimal take rate."""
-    step = take_step if take_step is not None else config.take_step
-    curve = _analytic_curve(config.params, config.L_total, step)
+    curve = _analytic_curve(config)
     t1_star, rev1_star = optimal_take_rate(config.params)
     l1_at_star = _analytic_point(replace(config.params, t1=t1_star), config.L_total).l1
     report = RunReport(
@@ -176,29 +178,18 @@ def cmd_analyze(
 
 def cmd_simulate(
     config: ScenarioConfig,
-    take_step: Optional[float] = None,
-    liquidity_step: Optional[float] = None,
-    seed: Optional[int] = None,
     compare: bool = False,
     out_dir: str | Path = ".",
     base_dir: str | Path | None = None,
 ) -> RunReport:
     """Trade-level sweep over the take-rate grid; optional analytical overlay."""
-    step = take_step if take_step is not None else config.take_step
-    liq_step = liquidity_step if liquidity_step is not None else config.liquidity_step
-    run_seed = seed if seed is not None else config.seed
     trades = resolve_trades(config, base_dir=base_dir)
     if not trades:
         raise ConfigError("the trace contains no trades; nothing to simulate")
     try:
         curve = sweep_take_rate(
-            config.params,
-            trades,
-            config.L_total,
-            take_step=step,
-            liquidity_step=liq_step,
-            seed=run_seed,
-            deviation_threshold=config.deviation_threshold,
+            config.params, trades, config.L_total, config.take_step, config.liquidity_step,
+            seed=config.seed, deviation_threshold=config.deviation_threshold,
         )
     except TraceScaleError as exc:
         if config.trace == "synthetic":
@@ -211,7 +202,7 @@ def cmd_simulate(
     reference = None
     max_dl1 = max_drev = None
     if compare:
-        reference = _analytic_curve(config.params, config.L_total, step)
+        reference = _analytic_curve(config)
         max_dl1 = max(
             abs(s.l1 - r.l1) for s, r in zip(curve.samples, reference.samples)
         )
@@ -255,52 +246,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="closed-form sweep from a scenario config")
     analyze.add_argument("config", help="scenario config file")
-    analyze.add_argument("--take-step", type=float, default=None)
+    analyze.add_argument("--take-step", type=float)
     analyze.add_argument("--out-dir", default=".")
 
     simulate = sub.add_parser("simulate", help="trade-level sweep from a scenario config")
     simulate.add_argument("config", help="scenario config file")
-    simulate.add_argument("--take-step", type=float, default=None)
-    simulate.add_argument("--liquidity-step", type=float, default=None)
-    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--take-step", type=float)
+    simulate.add_argument("--liquidity-step", type=float)
+    simulate.add_argument("--seed", type=int)
     simulate.add_argument("--compare", action="store_true",
                           help="add analytical reference columns and deltas")
     simulate.add_argument("--out-dir", default=".")
 
     gen = sub.add_parser("gen-trace", help="generate a synthetic trace CSV")
     gen.add_argument("out", help="output CSV path")
-    gen.add_argument("--n-trades", type=int, default=10_000)
-    gen.add_argument("--size-mu", type=float, default=SyntheticSpec().size_mu)
-    gen.add_argument("--size-sigma", type=float, default=1.0)
-    gen.add_argument("--direction-bias", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n-trades", type=int)
+    gen.add_argument("--size-mu", type=float)
+    gen.add_argument("--size-sigma", type=float)
+    gen.add_argument("--direction-bias", type=float)
+    gen.add_argument("--seed", type=int)
     return parser
+
+
+def _given(args: argparse.Namespace, names: Sequence[str]) -> dict:
+    """The flags among names that were passed, keyed by field name."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            config = load_config(args.config)
-            report = cmd_analyze(config, take_step=args.take_step, out_dir=args.out_dir)
+        if args.command == "gen-trace":
+            spec = SyntheticSpec(**_given(args, _SPEC_FLAGS))
+            out = cmd_gen_trace(spec, args.out)
+            print(f"wrote {out} ({spec.n_trades} trades)")
+        else:
+            config = replace(load_config(args.config), **_given(args, _CONFIG_FLAGS))
+            out_dir = Path(args.out_dir)
+            if args.command == "analyze":
+                report = cmd_analyze(config, out_dir)
+                written = f"{out_dir / 'curve.csv'} and report.txt"
+            else:
+                report = cmd_simulate(config, args.compare, out_dir, Path(args.config).parent)
+                written = f"{out_dir / 'sweep.csv'}, sweep.svg and report.txt"
             print(
-                f"analyze: t1* = {report.t1_star:.6f}, rev1* = {report.rev1_star:.6f}, "
-                f"l1 at optimum = {report.l1_at_star:.4f}"
-            )
-            print(f"wrote {Path(args.out_dir) / 'curve.csv'} and report.txt")
-        elif args.command == "simulate":
-            config = load_config(args.config)
-            report = cmd_simulate(
-                config,
-                take_step=args.take_step,
-                liquidity_step=args.liquidity_step,
-                seed=args.seed,
-                compare=args.compare,
-                out_dir=args.out_dir,
-                base_dir=Path(args.config).parent,
-            )
-            print(
-                f"simulate: t1* = {report.t1_star:.6f}, rev1* = {report.rev1_star:.6f}, "
+                f"{report.mode}: t1* = {report.t1_star:.6f}, rev1* = {report.rev1_star:.6f}, "
                 f"l1 at optimum = {report.l1_at_star:.4f}"
             )
             if report.max_delta_rev1 is not None:
@@ -308,17 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"compare: max |dl1| = {report.max_delta_l1:.4f}, "
                     f"max |drev1| = {report.max_delta_rev1:.4f}"
                 )
-            print(f"wrote {Path(args.out_dir) / 'sweep.csv'}, sweep.svg and report.txt")
-        else:
-            spec = SyntheticSpec(
-                n_trades=args.n_trades,
-                size_mu=args.size_mu,
-                size_sigma=args.size_sigma,
-                direction_bias=args.direction_bias,
-                seed=args.seed,
-            )
-            out = cmd_gen_trace(spec, args.out)
-            print(f"wrote {out} ({spec.n_trades} trades)")
+            print(f"wrote {written}")
         # a closed stdout must fail here, inside the try, not at exit
         sys.stdout.flush()
     except BrokenPipeError:

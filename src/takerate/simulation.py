@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .analytical import EquilibriumResult, ModelParams, check_step, take_rate_grid
+from .analytical import EquilibriumResult, ModelParams, check_step, check_sticky_rates, take_rate_grid
 from .cpmm import Direction, PoolState
 
 # Arbitrage in the replay executes only when it clears this fraction of the
@@ -103,7 +103,6 @@ class SweepCurve:
     """Revenue and liquidity share over an ascending take-rate grid."""
 
     samples: tuple[EquilibriumResult, ...]
-    grid_step: float
 
     def argmax(self) -> EquilibriumResult:
         """Sample with the highest revenue; ties go to the smaller take rate."""
@@ -128,9 +127,7 @@ def assign_sticky(
     """
     if not trades:
         raise ValueError("trade list must not be empty")
-    # written so that NaN fails too
-    if not (s1 >= 0.0 and s2 >= 0.0 and s1 + s2 <= 1.0):
-        raise ValueError(f"sticky rates must be nonnegative with s1 + s2 <= 1, got {s1}, {s2}")
+    check_sticky_rates(s1, s2)
     labels = [0] * len(trades)
     if s1 + s2 == 0.0:
         return labels
@@ -571,4 +568,4 @@ def sweep_take_rate(
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
     samples = tuple(_search(replace(params, t1=t1), table) for t1 in grid)
-    return SweepCurve(samples=samples, grid_step=take_step)
+    return SweepCurve(samples=samples)

@@ -23,6 +23,7 @@ from takerate.analytical import (
     pool_volumes,
     protocol_revenue,
     solve_equilibrium,
+    take_rate_grid,
 )
 
 
@@ -368,3 +369,18 @@ class TestModelParamsValidation:
     def test_non_finite_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ModelParams(t1=0.0, t2=0.0, s1=0.0, **{field: value})
+
+
+class TestTakeRateGrid:
+    @pytest.mark.parametrize("step", [0.3, 0.4, 0.07, 0.15])
+    def test_ends_at_one_when_step_does_not_divide_one(self, step):
+        grid = take_rate_grid(step)
+        assert grid[-1] == 1.0
+        assert grid[-2] < 1.0
+        assert grid[:-1] == [i * step for i in range(len(grid) - 1)]
+
+    def test_dividing_steps_keep_their_grid(self):
+        # 1/n with a float reciprocal just above or below n takes n steps
+        for step in [1.0 / n for n in range(2, 2001)] + [0.01, 0.005, 0.001, 0.0025]:
+            n = round(1.0 / step)
+            assert take_rate_grid(step) == [min(1.0, i * step) for i in range(n + 1)]

@@ -3,13 +3,20 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import takerate
 from takerate.cli import cmd_analyze, cmd_simulate, main
-from takerate.data_io import load_config, load_trades
+from takerate.data_io import (
+    SyntheticSpec,
+    generate_trades,
+    load_config,
+    load_trades,
+    save_trades,
+)
 
 FORK_CFG = """
 t2 = 0.0
@@ -54,7 +61,7 @@ class TestAnalyze:
 
     def test_curve_csv_shape(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, FORK_CFG))
-        cmd_analyze(cfg, take_step=0.1, out_dir=tmp_path / "out")
+        cmd_analyze(replace(cfg, take_step=0.1), out_dir=tmp_path / "out")
         lines = (tmp_path / "out" / "curve.csv").read_text().strip().splitlines()
         assert lines[0] == "t1,l1,rev1"
         assert len(lines) == 12  # header + 11 grid points
@@ -82,7 +89,7 @@ class TestSimulate:
     def test_outputs_and_agreement(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, FORK_CFG))
         report = cmd_simulate(
-            cfg, take_step=0.05, liquidity_step=0.02, compare=True,
+            replace(cfg, take_step=0.05, liquidity_step=0.02), compare=True,
             out_dir=tmp_path / "out",
         )
         assert (tmp_path / "out" / "sweep.csv").exists()
@@ -98,8 +105,9 @@ class TestSimulate:
         # without sticky volume or liquidity the replay reproduces the
         # winner-take-all analytical curve point by point
         cfg = load_config(write_cfg(tmp_path, NO_STICKY_CFG))
-        sim = cmd_simulate(cfg, take_step=0.05, liquidity_step=0.05, out_dir=tmp_path / "s")
-        ana = cmd_analyze(cfg, take_step=0.05, out_dir=tmp_path / "a")
+        cfg = replace(cfg, take_step=0.05, liquidity_step=0.05)
+        sim = cmd_simulate(cfg, out_dir=tmp_path / "s")
+        ana = cmd_analyze(cfg, out_dir=tmp_path / "a")
         for s_sim, s_ana in zip(sim.curve.samples, ana.curve.samples):
             if abs(s_sim.t1 - 0.167) < 0.05:
                 continue  # the tie cell itself is indeterminate analytically
@@ -132,6 +140,46 @@ class TestSimulate:
         assert r == 0
 
 
+class TestFlagsReplaceConfigKeys:
+    """A flag replaces the config key of the same name, and report.txt says so."""
+
+    def test_simulate_report_states_flag_values(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, FORK_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--take-step", "0.25",
+                     "--liquidity-step", "0.05", "--seed", "3", "--out-dir", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        for line in ("take_step = 0.25", "liquidity_step = 0.05", "seed = 3"):
+            assert line in lines
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.25", "0.5", "0.75", "1"]
+        # the same run through the library: the flags are a replaced config
+        config = replace(load_config(cfg_path), take_step=0.25, liquidity_step=0.05, seed=3)
+        cmd_simulate(config, out_dir=tmp_path / "lib", base_dir=tmp_path)
+        for name in ("sweep.csv", "report.txt"):
+            assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    def test_seed_flag_keeps_the_synthetic_trace(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, FORK_CFG)
+        config = replace(load_config(cfg_path), seed=3)
+        assert config.seed == 3 and config.synthetic.seed == 42
+
+    def test_analyze_report_states_take_step(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, FORK_CFG)
+        out = tmp_path / "out"
+        assert main(["analyze", str(cfg_path), "--take-step", "0.25", "--out-dir", str(out)]) == 0
+        assert "take_step = 0.25" in (out / "report.txt").read_text().splitlines()
+        assert len((out / "curve.csv").read_text().splitlines()) == 1 + 5
+
+    def test_bad_flag_fails_before_the_trace_is_read(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, FORK_CFG.replace("trace = synthetic", "trace = missing.csv")
+                             .replace("n_trades = 800\nsize_mu = 3.0\n", ""))
+        assert main(["simulate", str(cfg_path), "--liquidity-step", "0.7"]) == 1
+        err = capsys.readouterr().err
+        assert "liquidity_step must lie in (0, 0.5], got 0.7" in err
+        assert "missing.csv" not in err
+
+
 class TestGenTrace:
     def test_writes_loadable_trace(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -161,6 +209,12 @@ class TestGenTrace:
         )
         total = sum(t.amount_in for t in trades)
         assert abs(total - mean_total) <= 3.0 * std_total
+
+    def test_defaults_are_synthetic_spec_defaults(self, tmp_path):
+        out, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+        assert main(["gen-trace", str(out)]) == 0
+        save_trades(ref, generate_trades(SyntheticSpec()))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_unwritable_path_fails(self, tmp_path):
         r = main(["gen-trace", str(tmp_path / "missing" / "t.csv"), "--n-trades", "5"])

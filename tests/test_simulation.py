@@ -88,8 +88,19 @@ class TestAssignSticky:
     @pytest.mark.parametrize("s1, s2", [(math.nan, 0.0), (0.0, math.nan), (0.1, math.nan)])
     def test_nan_rate_rejected(self, s1, s2):
         # a NaN rate used to label every trade loyal to pool 2
-        with pytest.raises(ValueError, match="sticky rates"):
+        with pytest.raises(ValueError, match=r"s[12] must lie in \[0, 1\], got nan"):
             assign_sticky(lognormal_trace(20, 10.0), s1, s2)
+
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [(math.nan, 0.0), (0.1, math.nan), (-0.1, 0.0), (0.0, math.inf), (1.5, 0.0), (0.7, 0.4)],
+    )
+    def test_same_sticky_rate_rule_as_model_params(self, s1, s2):
+        with pytest.raises(ValueError) as model:
+            ModelParams(t1=0.0, t2=0.0, s1=s1, s2=s2)
+        with pytest.raises(ValueError) as labeller:
+            assign_sticky(lognormal_trace(20, 10.0), s1, s2)
+        assert str(labeller.value) == str(model.value)
 
 
 class TestTradeEvent:
