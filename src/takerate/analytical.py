@@ -227,14 +227,20 @@ def check_step(name: str, step: float) -> None:
         raise ValueError(f"{name} must lie in (0, 0.5], got {step}")
 
 
-def take_rate_grid(take_step: float) -> list[float]:
-    """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1).
+def grid_steps(step: float) -> int:
+    """Number of steps of a grid over [0, 1] whose last step is clipped to 1.
 
     The count allows 1e-9 below a whole number, so 0.3 takes 4 steps (0.9,
     then 1) and 1/49, whose float reciprocal is 49.00000000000001, takes 49.
+    Both the take-rate grid and the simulation's liquidity grid count so.
     """
+    return math.ceil(1.0 / step - 1e-9)
+
+
+def take_rate_grid(take_step: float) -> list[float]:
+    """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1)."""
     check_step("take_step", take_step)
-    return [min(1.0, i * take_step) for i in range(math.ceil(1.0 / take_step - 1e-9) + 1)]
+    return [min(1.0, i * take_step) for i in range(grid_steps(take_step) + 1)]
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -63,7 +63,9 @@ class ScenarioConfig:
     """Everything one model run needs: market shape, sweep grids, trace source.
 
     trace is either a path to a CSV file or the literal ``synthetic``, in
-    which case the synthetic field describes the generator.  params is the
+    which case the synthetic field describes the generator; left out, it
+    becomes SyntheticSpec(seed=seed), so that replacing seed later reseeds
+    the labelling but keeps the trace.  params is the
     ModelParams (t1 = 0) the market keys describe; building it validates them.
     """
 
@@ -103,6 +105,8 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from None
         if not self.trace:
             raise ConfigError("trace must name a CSV file or 'synthetic'")
+        if self.trace == "synthetic" and self.synthetic is None:
+            object.__setattr__(self, "synthetic", SyntheticSpec(seed=self.seed))
 
 
 def load_trades(path: Union[str, Path]) -> list[TradeEvent]:
@@ -253,8 +257,7 @@ def resolve_trades(config: ScenarioConfig, base_dir: Union[str, Path, None] = No
     directory, typically).
     """
     if config.trace == "synthetic":
-        spec = config.synthetic or SyntheticSpec(seed=config.seed)
-        return generate_trades(spec)
+        return generate_trades(config.synthetic)
     trace_path = Path(config.trace)
     if base_dir is not None and not trace_path.is_absolute():
         trace_path = Path(base_dir) / trace_path

@@ -19,7 +19,12 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    and reports the revenue curve.  A replay does not depend on t1, t2 or d,
    which enter only the residual (1-t1)*fee1/L1*(1+d) - (1-t2)*fee2/L2 and
    rev1, so the sweep labels the trace once and every take rate searches
-   the same table: each split is replayed at most once per sweep.
+   the same table: each split is replayed at most once per sweep.  The
+   searches advance in lockstep, one round of cell requests at a time, and
+   on a machine with two or more usable cores a long sweep lends every
+   second new cell of a round to one helper interpreter.  Without the cores,
+   on a short trace, or if the helper fails, every cell replays in this
+   process; the curve is the same.  Nothing needs configuring.
 
 Volumes and fee revenue are accounted in token-0 units; token-1 legs convert
 at the pool's pre-trade marginal price.  Pools are constructed balanced at a
@@ -29,13 +34,22 @@ asset are size-comparable.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
 import sys
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Generator, Iterable, Optional, Sequence
 
-from .analytical import EquilibriumResult, ModelParams, check_step, check_sticky_rates, take_rate_grid
+from .analytical import (
+    EquilibriumResult,
+    ModelParams,
+    check_step,
+    check_sticky_rates,
+    grid_steps,
+    take_rate_grid,
+)
 from .cpmm import Direction, PoolState
 
 # Arbitrage in the replay executes only when it clears this fraction of the
@@ -58,7 +72,7 @@ class TraceScaleError(ValueError):
     """Trade sizes and pool sizes put a replay outside the float range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeEvent:
     """One trade of a trace: direction and input amount.
 
@@ -394,7 +408,7 @@ def _end_state(pool: PoolState, a: float, b: float, la: float, lb: float) -> Poo
 
 
 class _CellTable:
-    """Replay outcomes of one labelled trace, filled lazily by liquidity split.
+    """Replay outcomes of one labelled trace, filled by liquidity split.
 
     A replay depends on the split, the fee, L_total, the threshold and the
     labels, but not on t1, t2 or d, so one table serves every take rate of a
@@ -402,6 +416,13 @@ class _CellTable:
     of L_total.  Cells 1..m-1 replay both pools through the module-level
     _replay_two; cell 0 (all liquidity in pool 2) and cell m (all in pool 1)
     replay the surviving pool through _replay_single.
+
+    With parallel=True, at least two usable cores and a trace long enough
+    to repay an interpreter start, the table starts one helper process
+    before labelling and fill lends it every second missing cell.  Leaving
+    the table as a context manager stops the helper.  If the helper cannot
+    start, dies or replies badly, the parent replays its cells too: the
+    outcomes are the same either way.
     """
 
     def __init__(
@@ -412,25 +433,44 @@ class _CellTable:
         liquidity_step: float,
         seed: int,
         deviation_threshold: float,
+        *,
+        parallel: bool = False,
     ) -> None:
-        """Validate the search inputs and the trace's scale, then label it."""
+        """Validate the inputs and the trace's scale, start a helper if asked, then label."""
         if L_total <= 0.0:
             raise ValueError("L_total must be positive")
         check_step("liquidity_step", liquidity_step)
         check_deviation_threshold(deviation_threshold)
         if params.f <= 0.0:
             raise ValueError("the simulation needs a positive trading fee to compare ROIs")
-        self.compiled = _compile(trades, assign_sticky(trades, params.s1, params.s2, seed))
-        self.m = round(1.0 / liquidity_step)
-        self.total_volume = sum(amt for _, amt, _ in self.compiled)
-        L_min = min(liquidity_step, 1.0 - (self.m - 1) * liquidity_step) * L_total
-        largest = max(amt for _, amt, _ in self.compiled)
-        _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
+        self.m = grid_steps(liquidity_step)
         self.L_total = L_total
         self.f = params.f
         self.step = liquidity_step
         self.threshold = deviation_threshold
+        self.total_volume = sum(ev.amount_in for ev in trades)
+        # the smallest pool: pool 1 at cell 1 or pool 2 at cell m-1
+        L_min = min(self.share(1), 1.0 - self.share(self.m - 1)) * L_total
+        largest = max((ev.amount_in for ev in trades), default=0.0)
+        _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
+        self.replays = 0  # replays run, here or in the helper
         self._cells: dict[int, SimOutcome] = {}
+        self._helper = None
+        if parallel and len(trades) * (self.m + 1) >= _HELPER_MIN_WORK and _usable_cores() >= 2:
+            self._helper = _start_helper()
+        try:
+            self.compiled = _compile(trades, assign_sticky(trades, params.s1, params.s2, seed))
+        except BaseException:
+            self.close()
+            raise
+        if self._helper is not None:
+            self._send((self.compiled, L_total, self.f, deviation_threshold, self.m, liquidity_step))
+
+    def __enter__(self) -> _CellTable:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def share(self, i: int) -> float:
         """Pool 1's liquidity share at index i: i * step, and exactly 1 at m."""
@@ -439,22 +479,147 @@ class _CellTable:
 
     def cell(self, i: int) -> SimOutcome:
         """The replay outcome at index i, replayed on first use."""
-        outcome = self._cells.get(i)
-        if outcome is None:
-            if i == 0 or i == self.m:
-                outcome = _replay_single(
-                    self.L_total, self.L_total, self.f, self.compiled,
-                    own_label=1 if i == self.m else 2,
-                )
-            else:
-                l1 = self.share(i)
-                L1 = l1 * self.L_total
-                L2 = (1.0 - l1) * self.L_total
-                outcome = _replay_two(
-                    L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold
-                )[0]
-            self._cells[i] = outcome
-        return outcome
+        self.fill((i,))
+        return self._cells[i]
+
+    def fill(self, indices: Iterable[int]) -> None:
+        """Replay every cell of indices that the table does not hold yet.
+
+        With a helper running, every second missing cell in index order goes
+        to the helper while the parent replays the others, so which replays
+        run in the parent depends on the request alone.
+        """
+        missing = sorted(set(indices).difference(self._cells))
+        lent = missing[1::2] if self._helper is not None else []
+        if lent and not self._send(lent):
+            lent = []
+        for i in missing[0::2] if lent else missing:
+            self._cells[i] = self._replay(i)
+        if lent:
+            outcomes = self._receive(len(lent)) or [self._replay(i) for i in lent]
+            self._cells.update(zip(lent, outcomes))
+
+    def close(self) -> None:
+        """Stop the helper, if one runs: close its input, wait, then kill."""
+        proc, self._helper = self._helper, None
+        if proc is None:
+            return
+        import subprocess
+
+        try:
+            proc.stdin.close()
+            proc.wait(timeout=_HELPER_EXIT_S)
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+        finally:
+            if proc.returncode is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+    def _replay(self, i: int) -> SimOutcome:
+        self.replays += 1
+        return _replay_cell(self.compiled, self.L_total, self.f, self.threshold, self.m, self.step, i)
+
+    def _send(self, message: object) -> bool:
+        """Write one message to the helper; stop it and return False if that fails."""
+        try:
+            marshal.dump(message, self._helper.stdin)
+            self._helper.stdin.flush()
+            return True
+        except OSError:
+            self.close()
+            return False
+
+    def _receive(self, count: int) -> Optional[list[SimOutcome]]:
+        """The helper's count outcomes, or None (helper stopped) on a bad reply."""
+        try:
+            reply = marshal.load(self._helper.stdout)
+        except (EOFError, OSError, TypeError, ValueError):
+            reply = None
+        if isinstance(reply, list) and len(reply) == count and all(map(_is_outcome, reply)):
+            self.replays += count
+            return [SimOutcome(*values) for values in reply]
+        self.close()
+        return None
+
+
+def _replay_cell(compiled, L_total, f, threshold, m, step, i) -> SimOutcome:
+    """Replay cell i of a liquidity grid of m steps (see _CellTable)."""
+    if i == 0 or i == m:
+        return _replay_single(L_total, L_total, f, compiled, own_label=1 if i == m else 2)
+    l1 = i * step
+    L1 = l1 * L_total
+    L2 = (1.0 - l1) * L_total
+    return _replay_two(L1, L1, f, L2, L2, f, compiled, threshold)[0]
+
+
+# A sweep starts a helper only when its trace length times the grid's m + 1
+# cells reaches this many trade replays.  The helper's start (an interpreter
+# and the package import, about 80 ms on a 2-core Xeon) then costs well under
+# the half of the replays it takes over; at half this size the two are close.
+_HELPER_MIN_WORK = 1_000_000
+# How long a helper whose input has closed may take to exit before the kill.
+_HELPER_EXIT_S = 1.0
+# The helper imports this package from the parent's directory, then serves.
+_HELPER_CODE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from takerate.simulation import _serve_cells; _serve_cells(sys.argv[2])"
+)
+# A helper replies with one tuple of SimOutcome's field values per cell.
+_OUTCOME_TYPES = tuple({"int": int, "float": float}[f.type] for f in fields(SimOutcome))
+
+
+def _is_outcome(values: object) -> bool:
+    return (
+        isinstance(values, tuple)
+        and len(values) == len(_OUTCOME_TYPES)
+        and all(type(v) is t for v, t in zip(values, _OUTCOME_TYPES))
+    )
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_helper():
+    """Start the replay helper interpreter; None if it cannot start."""
+    import subprocess  # imported here so that importing the package stays cheap
+
+    if not sys.executable:
+        return None
+    here = os.path.abspath(__file__)
+    try:
+        return subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _HELPER_CODE, os.path.dirname(os.path.dirname(here)), here],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+    except OSError:
+        return None
+
+
+def _serve_cells(parent_file: str) -> None:
+    """The helper's loop: replay the cells the parent asks for until stdin closes.
+
+    The first message holds the cell parameters (_replay_cell's arguments
+    but the index); each later one is a list of indices, answered with one
+    tuple of SimOutcome field values per index.  All messages are marshal
+    data, which is exact for floats.
+    """
+    if os.path.abspath(__file__) != parent_file:
+        sys.exit(f"replay helper imported {__file__}, the parent runs {parent_file}")
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    try:
+        spec = marshal.load(stdin)
+        while True:
+            outcomes = [_replay_cell(*spec, i) for i in marshal.load(stdin)]
+            marshal.dump([tuple(getattr(o, f.name) for f in fields(o)) for o in outcomes], stdout)
+            stdout.flush()
+    except EOFError:
+        pass
 
 
 def _check_scale(largest: float, volume: float, reserves: float, L_min: float, name: str) -> None:
@@ -471,8 +636,15 @@ def _check_scale(largest: float, volume: float, reserves: float, L_min: float, n
     )
 
 
-def _search(params: ModelParams, table: _CellTable) -> EquilibriumResult:
-    """The equilibrium search of find_equilibrium over one cell table."""
+def _search(
+    params: ModelParams, table: _CellTable
+) -> Generator[tuple[int, ...], None, EquilibriumResult]:
+    """The equilibrium search of find_equilibrium over one cell table.
+
+    A generator: before each read it yields the cell indices it reads next,
+    (1, m-1) first, then (m,), (0,) or one bisection midpoint at a time, and
+    it returns the EquilibriumResult.  _solve fills the cells it asks for.
+    """
     L_total = table.L_total
     one_minus_t1 = 1.0 - params.t1
     one_minus_t2 = 1.0 - params.t2
@@ -499,15 +671,19 @@ def _search(params: ModelParams, table: _CellTable) -> EquilibriumResult:
 
     m = table.m
     low_i, high_i = 1, m - 1
+    yield low_i, high_i
     evaluated = {low_i: interior(low_i), high_i: interior(high_i)}
     if evaluated[high_i][0] > 0.0:
+        yield (m,)
         return cell(m)
     if evaluated[low_i][0] < 0.0:
+        yield (0,)
         return cell(0)
 
     # res decreases with the share: maintain res(low) >= 0 >= res(high)
     while high_i - low_i > 1:
         mid = (low_i + high_i) // 2
+        yield (mid,)
         evaluated[mid] = interior(mid)
         if evaluated[mid][0] > 0.0:
             low_i = mid
@@ -522,6 +698,26 @@ def _search(params: ModelParams, table: _CellTable) -> EquilibriumResult:
             best_i = i
 
     return evaluated[best_i][1]
+
+
+def _solve(searches: list, table: _CellTable) -> list[EquilibriumResult]:
+    """Run searches over one table in lockstep and return their results.
+
+    Each round fills the union of the cells the unfinished searches ask for,
+    so the table can replay a round's cells side by side, then resumes every
+    search.  A search reads the same cells as it would alone.
+    """
+    results: dict[int, EquilibriumResult] = {}
+    requests = {k: next(search) for k, search in enumerate(searches)}
+    while requests:
+        table.fill(set().union(*requests.values()))
+        for k in list(requests):
+            try:
+                requests[k] = next(searches[k])
+            except StopIteration as done:
+                results[k] = done.value
+                del requests[k]
+    return [results[k] for k in range(len(searches))]
 
 
 def find_equilibrium(
@@ -542,10 +738,11 @@ def find_equilibrium(
     1-step the result is l1 = 1 (full migration, a single-pool replay with
     r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual is
     monotone in the share, so the grid minimum is located by bracketing
-    instead of evaluating every cell.
+    instead of evaluating every cell.  One search replays one cell at a time,
+    so it runs in this process alone.
     """
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
-    return _search(params, table)
+    return _solve([_search(params, table)], table)[0]
 
 
 def sweep_take_rate(
@@ -563,9 +760,13 @@ def sweep_take_rate(
     params.t1 is ignored; each grid value is substituted in turn.  Revenue is
     normalized as t1 * fees_1 / (V * f) with V the total trace volume.  The
     trace is labelled once and every take rate searches the same cell table,
-    so each sample equals find_equilibrium at that take rate and seed.
+    so each sample equals find_equilibrium at that take rate and seed.  The
+    searches advance in lockstep; on two or more cores a helper process
+    replays half of each round's new cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
-    table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
-    samples = tuple(_search(replace(params, t1=t1), table) for t1 in grid)
-    return SweepCurve(samples=samples)
+    with _CellTable(
+        params, trades, L_total, liquidity_step, seed, deviation_threshold, parallel=True
+    ) as table:
+        samples = _solve([_search(replace(params, t1=t1), table) for t1 in grid], table)
+    return SweepCurve(samples=tuple(samples))

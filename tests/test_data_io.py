@@ -1,6 +1,7 @@
 """Trace file, synthetic generator and config parsing tests."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -201,6 +202,14 @@ class TestResolveTrades:
         cfg = ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="synthetic", seed=5)
         trades = resolve_trades(cfg)
         assert trades == generate_trades(SyntheticSpec(seed=5))
+
+    def test_replacing_seed_keeps_the_synthetic_trace(self):
+        # the spec is fixed when the config is built, so a later seed (as
+        # --seed applies it) reseeds the labelling only, as for a file config
+        cfg = ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="synthetic", seed=5)
+        reseeded = replace(cfg, seed=7)
+        assert reseeded.seed == 7 and reseeded.synthetic == SyntheticSpec(seed=5)
+        assert resolve_trades(reseeded) == resolve_trades(cfg)
 
 
 class TestScenarioConfigValidation:

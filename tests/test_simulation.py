@@ -5,18 +5,22 @@ traces of many small trades; mechanics (sticky selection, rerouting,
 arbitrage, determinism, volume conservation) are checked directly.
 """
 
+import marshal
 import math
+import pickle
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 from takerate import simulation
-from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue
+from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue, take_rate_grid
 from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
 from takerate.data_io import ConfigError, ScenarioConfig
 from takerate.simulation import (
     SimOutcome,
+    SweepCurve,
     TradeEvent,
     TraceScaleError,
     assign_sticky,
@@ -108,6 +112,14 @@ class TestTradeEvent:
     def test_rejects_non_finite_or_nonpositive_amount(self, amount):
         with pytest.raises(ValueError, match="amount_in must be finite and positive"):
             TradeEvent("a2b", amount)
+
+    def test_slotted_event_pickles_and_replaces(self):
+        ev = TradeEvent("b2a", 12.5)
+        assert not hasattr(ev, "__dict__")
+        assert pickle.loads(pickle.dumps(ev)) == ev
+        assert replace(ev, amount_in=3.0) == TradeEvent("b2a", 3.0)
+        with pytest.raises(ValueError, match="amount_in"):
+            replace(ev, amount_in=-1.0)
 
 
 class TestSimulateTrades:
@@ -462,6 +474,18 @@ class TestFindEquilibrium:
             with pytest.raises(ConfigError, match=key):
                 ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", **{key: 0.7})
 
+    @pytest.mark.parametrize("step", [0.3, 0.4, 0.45])
+    def test_liquidity_grid_reaches_its_last_interior_cell(self, step):
+        # steps that do not divide 1 count their cells as the take-rate grid
+        # does, so the search also tries 0.9 (0.3 and 0.45) and 0.8 (0.4)
+        params = ModelParams(t1=0.1, t2=0.0, s1=0.0722, s2=0.0, d=0.0, f=0.003)
+        trades = lognormal_trace(2000, 20.0)
+        table = simulation._CellTable(params, trades, 1e6, step, 0, 0.1)
+        grid = take_rate_grid(step)
+        assert [table.share(i) for i in range(table.m + 1)] == grid
+        # the closed form puts l1 near 0.7: between the last two interior cells
+        assert find_equilibrium(params, trades, 1e6, step).l1 == grid[-2]
+
     def test_result_volumes_sum_to_trace_volume(self):
         # token-0-only trades avoid price conversion: the equilibrium result's
         # per-pool volumes (arbitrage excluded) add up to the trace volume
@@ -559,29 +583,23 @@ class TestSweepTakeRate:
         assert {0.0, 1.0} <= shares
 
     @pytest.mark.parametrize("params", SCENARIOS)
-    def test_labels_once_and_replays_each_cell_once(self, params, monkeypatch):
-        calls = {}
+    def test_labels_once_and_replays_each_cell_once(self, params, monkeypatch, tables):
+        labellings = []
+        assign = simulation.assign_sticky
 
-        def count(name, key):
-            fn = getattr(simulation, name)
-            calls[name] = []
+        def count(*args, **kwargs):
+            labellings.append(None)
+            return assign(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name].append(key(args, kwargs))
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(simulation, name, wrapper)
-
-        count("assign_sticky", lambda args, kwargs: None)
-        count("_replay_two", lambda args, kwargs: (args[0], args[3]))  # (L1, L2)
-        count("_replay_single", lambda args, kwargs: kwargs["own_label"])
+        monkeypatch.setattr(simulation, "assign_sticky", count)
         trades = lognormal_trace(400, 30.0)
         sweep_take_rate(params, trades, 1e6, take_step=0.05, liquidity_step=0.02, seed=9)
-        assert len(calls["assign_sticky"]) == 1
-        splits = calls["_replay_two"]
-        assert len(splits) == len(set(splits))
-        assert len(splits) <= 49  # the interior grid {0.02, ..., 0.98}
-        assert sorted(calls["_replay_single"]) == [1, 2]
+        assert len(labellings) == 1
+        (table,) = tables
+        # the table counts every replay it runs, so one per cell means no repeat
+        assert table.replays == len(table.filled)
+        assert len([i for i in table.filled if 0 < i < table.m]) <= 49  # {0.02, ..., 0.98}
+        assert {0, table.m} <= table.filled
 
     def test_deterministic_curve(self):
         trades = lognormal_trace(300, 25.0)
@@ -608,3 +626,136 @@ class TestSweepTakeRate:
                 assert sample.rev1 == pytest.approx(analytic, abs=0.01)
             else:
                 assert sample.rev1 >= analytic - 0.01
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every _CellTable the code under test builds, in order."""
+    built = []
+
+    class Recording(simulation._CellTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+            self.helper_started = self._helper is not None
+
+        @property
+        def filled(self):
+            return set(self._cells)
+
+    monkeypatch.setattr(simulation, "_CellTable", Recording)
+    return built
+
+
+@pytest.mark.skipif(simulation._usable_cores() < 2, reason="the helper needs two cores")
+class TestParallelSweep:
+    """The sweep's helper process: same curve, same cells, nothing left running."""
+
+    PARAMS = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
+    # long enough that the sweep starts its helper (see _HELPER_MIN_WORK)
+    TRADES = lognormal_trace(6000, 30.0, seed=17)
+    TAKE_STEP = 0.05
+    LIQUIDITY_STEP = 0.005
+
+    def sweep(self):
+        return sweep_take_rate(
+            self.PARAMS, self.TRADES, 2e6, self.TAKE_STEP, self.LIQUIDITY_STEP, seed=4
+        )
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        """The curve and filled cells of one search after another, no helper."""
+        table = simulation._CellTable(self.PARAMS, self.TRADES, 2e6, self.LIQUIDITY_STEP, 4, 0.1)
+        samples = [
+            simulation._solve([simulation._search(replace(self.PARAMS, t1=t1), table)], table)[0]
+            for t1 in take_rate_grid(self.TAKE_STEP)
+        ]
+        return SweepCurve(samples=tuple(samples)), set(table._cells)
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """Every helper process the sweep starts."""
+        started = []
+        start = simulation._start_helper
+
+        def recording():
+            proc = start()
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(simulation, "_start_helper", recording)
+        return started
+
+    @staticmethod
+    def assert_stopped(procs):
+        for proc in procs:
+            assert proc.returncode is not None  # waited for, not left running
+            assert proc.stdin.closed and proc.stdout.closed
+
+    def test_equals_serial_search_cell_for_cell(self, serial, tables, helpers):
+        curve = self.sweep()
+        (table,) = tables
+        assert table.helper_started and len(helpers) == 1
+        assert curve == serial[0]
+        assert table.filled == serial[1]
+        assert table.replays == len(serial[1])
+        self.assert_stopped(helpers)
+
+    @pytest.mark.parametrize("when", ["before a request", "during a request", "never: bad reply"])
+    def test_failed_helper_gives_the_same_curve(self, serial, tables, helpers, monkeypatch, when):
+        send = simulation._CellTable._send
+
+        def send_then_kill(self, message):
+            if when == "before a request" and len(self._cells) > 4:
+                kill(self._helper)
+            sent = send(self, message)
+            if when == "during a request" and len(self._cells) > 4:
+                kill(self._helper)
+            return sent
+
+        def kill(proc):
+            if proc is not None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+        class BadReply:
+            dump = staticmethod(marshal.dump)
+
+            @staticmethod
+            def load(stream):
+                marshal.load(stream)
+                return [("not", "an", "outcome")]
+
+        monkeypatch.setattr(simulation._CellTable, "_send", send_then_kill)
+        if when == "never: bad reply":
+            monkeypatch.setattr(simulation, "marshal", BadReply)
+        curve = self.sweep()
+        (table,) = tables
+        assert table.helper_started
+        assert curve == serial[0] and table.filled == serial[1]
+        assert table.replays == len(serial[1])
+        assert table._helper is None  # the parent took over
+        self.assert_stopped(helpers)
+
+    def test_helper_that_cannot_start_gives_the_same_curve(self, serial, tables, monkeypatch):
+        monkeypatch.setattr(sys, "executable", "/nonexistent/python")
+        assert self.sweep() == serial[0]
+        assert not tables[0].helper_started
+
+    def test_raising_sweep_leaves_no_process(self, tables, helpers, monkeypatch):
+        fill = simulation._CellTable.fill
+
+        def fail_late(self, indices):
+            if len(self._cells) > 10:
+                raise KeyboardInterrupt
+            fill(self, indices)
+
+        monkeypatch.setattr(simulation._CellTable, "fill", fail_late)
+        with pytest.raises(KeyboardInterrupt):
+            self.sweep()
+        assert len(helpers) == 1 and helpers[0] is not None
+        self.assert_stopped(helpers)
+
+    def test_helper_refuses_another_copy_of_the_package(self):
+        with pytest.raises(SystemExit, match="replay helper imported"):
+            simulation._serve_cells("/elsewhere/takerate/simulation.py")
