@@ -227,20 +227,22 @@ def check_step(name: str, step: float) -> None:
         raise ValueError(f"{name} must lie in (0, 0.5], got {step}")
 
 
-def grid_steps(step: float) -> int:
-    """Number of steps of a grid over [0, 1] whose last step is clipped to 1.
+def unit_grid(step: float) -> list[float]:
+    """Values 0, step, 2*step, ... of a grid over [0, 1], the last one exactly 1.
 
-    The count allows 1e-9 below a whole number, so 0.3 takes 4 steps (0.9,
-    then 1) and 1/49, whose float reciprocal is 49.00000000000001, takes 49.
-    Both the take-rate grid and the simulation's liquidity grid count so.
+    The step count allows 1e-9 below a whole number, so 0.3 takes 4 steps
+    (0.9, then 1) and 1/49, whose float reciprocal is 49.00000000000001,
+    takes 49.  The last value is 1 itself, not 49 * (1/49), which misses it.
+    Both the take-rate grid and the simulation's liquidity grid are this one.
     """
-    return math.ceil(1.0 / step - 1e-9)
+    n = math.ceil(1.0 / step - 1e-9)
+    return [i * step for i in range(n)] + [1.0]
 
 
 def take_rate_grid(take_step: float) -> list[float]:
-    """Take rates 0, step, 2*step, ... up to 1 (the last one clipped to 1)."""
+    """Take rates 0, step, 2*step, ... up to 1 (the last one exactly 1)."""
     check_step("take_step", take_step)
-    return [min(1.0, i * take_step) for i in range(grid_steps(take_step) + 1)]
+    return unit_grid(take_step)
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -372,7 +372,8 @@ class TestModelParamsValidation:
 
 
 class TestTakeRateGrid:
-    @pytest.mark.parametrize("step", [0.3, 0.4, 0.07, 0.15])
+    # 1/49 and 1/98 divide 1, but 49 * (1/49) is 0.9999999999999999
+    @pytest.mark.parametrize("step", [0.3, 0.4, 0.07, 0.15, 1.0 / 49, 1.0 / 98])
     def test_ends_at_one_when_step_does_not_divide_one(self, step):
         grid = take_rate_grid(step)
         assert grid[-1] == 1.0
@@ -383,4 +384,4 @@ class TestTakeRateGrid:
         # 1/n with a float reciprocal just above or below n takes n steps
         for step in [1.0 / n for n in range(2, 2001)] + [0.01, 0.005, 0.001, 0.0025]:
             n = round(1.0 / step)
-            assert take_rate_grid(step) == [min(1.0, i * step) for i in range(n + 1)]
+            assert take_rate_grid(step) == [min(1.0, i * step) for i in range(n)] + [1.0]

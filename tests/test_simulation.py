@@ -7,9 +7,11 @@ arbitrage, determinism, volume conservation) are checked directly.
 
 import marshal
 import math
+import os
 import pickle
 import random
-import sys
+import signal
+import threading
 from dataclasses import replace
 
 import pytest
@@ -404,7 +406,7 @@ class TestFindEquilibrium:
         m = table.m
 
         def residual(i):
-            o, l1 = table.cell(i), table.share(i)
+            o, l1 = table.cell(i), table.shares[i]
             r1 = (1.0 - params.t1) * o.fees_1 / (l1 * L_total)
             r2 = (1.0 - params.t2) * o.fees_2 / ((1.0 - l1) * L_total)
             return r1 * (1.0 + params.d) - r2
@@ -419,7 +421,7 @@ class TestFindEquilibrium:
             least = min(abs(r) for r in res.values())
             best = max(i for i, r in res.items() if abs(r) <= least + 1e-12)
         rev1 = params.t1 * table.cell(best).fees_1 / (table.total_volume * params.f)
-        return table.share(best), rev1
+        return table.shares[best], rev1
 
     def test_bracketing_matches_full_scan(self):
         trades = lognormal_trace(600, 30.0)
@@ -482,7 +484,7 @@ class TestFindEquilibrium:
         trades = lognormal_trace(2000, 20.0)
         table = simulation._CellTable(params, trades, 1e6, step, 0, 0.1)
         grid = take_rate_grid(step)
-        assert [table.share(i) for i in range(table.m + 1)] == grid
+        assert table.shares == grid
         # the closed form puts l1 near 0.7: between the last two interior cells
         assert find_equilibrium(params, trades, 1e6, step).l1 == grid[-2]
 
@@ -637,7 +639,6 @@ def tables(monkeypatch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
-            self.helper_started = self._helper is not None
 
         @property
         def filled(self):
@@ -647,100 +648,144 @@ def tables(monkeypatch):
     return built
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork the code under test calls, as the pid it returned."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+# long enough that a sweep forks its helper (see _HELPER_MIN_WORK)
+HELPER_TRADES = lognormal_trace(6000, 30.0, seed=17)
+HELPER_PARAMS = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
+
+
+def helper_sweep():
+    return sweep_take_rate(HELPER_PARAMS, HELPER_TRADES, 2e6, 0.05, 0.005, seed=4)
+
+
+@pytest.fixture(scope="module")
+def serial():
+    """helper_sweep's curve and filled cells, one search after another."""
+    table = simulation._CellTable(HELPER_PARAMS, HELPER_TRADES, 2e6, 0.005, 4, 0.1)
+    samples = [
+        simulation._solve([simulation._search(replace(HELPER_PARAMS, t1=t1), table)], table)[0]
+        for t1 in take_rate_grid(0.05)
+    ]
+    return SweepCurve(samples=tuple(samples)), set(table._cells)
+
+
 @pytest.mark.skipif(simulation._usable_cores() < 2, reason="the helper needs two cores")
 class TestParallelSweep:
-    """The sweep's helper process: same curve, same cells, nothing left running."""
-
-    PARAMS = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
-    # long enough that the sweep starts its helper (see _HELPER_MIN_WORK)
-    TRADES = lognormal_trace(6000, 30.0, seed=17)
-    TAKE_STEP = 0.05
-    LIQUIDITY_STEP = 0.005
-
-    def sweep(self):
-        return sweep_take_rate(
-            self.PARAMS, self.TRADES, 2e6, self.TAKE_STEP, self.LIQUIDITY_STEP, seed=4
-        )
-
-    @pytest.fixture(scope="class")
-    def serial(self):
-        """The curve and filled cells of one search after another, no helper."""
-        table = simulation._CellTable(self.PARAMS, self.TRADES, 2e6, self.LIQUIDITY_STEP, 4, 0.1)
-        samples = [
-            simulation._solve([simulation._search(replace(self.PARAMS, t1=t1), table)], table)[0]
-            for t1 in take_rate_grid(self.TAKE_STEP)
-        ]
-        return SweepCurve(samples=tuple(samples)), set(table._cells)
+    """The sweep's forked helper: same curve, same cells, nothing left running."""
 
     @pytest.fixture
     def helpers(self, monkeypatch):
-        """Every helper process the sweep starts."""
+        """Every helper the sweep forks: (pid, request pipe, reply pipe)."""
         started = []
-        start = simulation._start_helper
+        fork = simulation._CellTable._fork
 
-        def recording():
-            proc = start()
-            started.append(proc)
-            return proc
+        def recording(table):
+            helper = fork(table)
+            started.append(helper)
+            return helper
 
-        monkeypatch.setattr(simulation, "_start_helper", recording)
+        monkeypatch.setattr(simulation._CellTable, "_fork", recording)
         return started
 
     @staticmethod
-    def assert_stopped(procs):
-        for proc in procs:
-            assert proc.returncode is not None  # waited for, not left running
-            assert proc.stdin.closed and proc.stdout.closed
+    def assert_stopped(helpers):
+        for pid, requests, replies in helpers:
+            with pytest.raises(ChildProcessError):  # reaped, not left running
+                os.waitpid(pid, os.WNOHANG)
+            assert requests.closed and replies.closed
 
     def test_equals_serial_search_cell_for_cell(self, serial, tables, helpers):
-        curve = self.sweep()
+        curve = helper_sweep()
         (table,) = tables
-        assert table.helper_started and len(helpers) == 1
+        assert len(helpers) == 1 and helpers[0] is not None
         assert curve == serial[0]
         assert table.filled == serial[1]
         assert table.replays == len(serial[1])
+        assert table._helper is None
         self.assert_stopped(helpers)
 
     @pytest.mark.parametrize("when", ["before a request", "during a request", "never: bad reply"])
     def test_failed_helper_gives_the_same_curve(self, serial, tables, helpers, monkeypatch, when):
         send = simulation._CellTable._send
 
-        def send_then_kill(self, message):
-            if when == "before a request" and len(self._cells) > 4:
-                kill(self._helper)
-            sent = send(self, message)
-            if when == "during a request" and len(self._cells) > 4:
-                kill(self._helper)
+        def send_then_kill(self, indices):
+            if when == "before a request" and len(self._cells) > 8:
+                kill(self._helper[0])
+            sent = send(self, indices)
+            if when == "during a request" and len(self._cells) > 8:
+                kill(self._helper[0])
             return sent
 
-        def kill(proc):
-            if proc is not None:
-                proc.kill()
-                proc.wait(timeout=10)
+        def kill(pid):
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left to reap
+
+        parent = os.getpid()
 
         class BadReply:
             dump = staticmethod(marshal.dump)
 
             @staticmethod
             def load(stream):
-                marshal.load(stream)
-                return [("not", "an", "outcome")]
+                message = marshal.load(stream)
+                return [("not", "an", "outcome")] if os.getpid() == parent else message
 
         monkeypatch.setattr(simulation._CellTable, "_send", send_then_kill)
         if when == "never: bad reply":
             monkeypatch.setattr(simulation, "marshal", BadReply)
-        curve = self.sweep()
+        curve = helper_sweep()
         (table,) = tables
-        assert table.helper_started
+        assert len(helpers) == 1 and helpers[0] is not None
         assert curve == serial[0] and table.filled == serial[1]
         assert table.replays == len(serial[1])
         assert table._helper is None  # the parent took over
         self.assert_stopped(helpers)
 
-    def test_helper_that_cannot_start_gives_the_same_curve(self, serial, tables, monkeypatch):
-        monkeypatch.setattr(sys, "executable", "/nonexistent/python")
-        assert self.sweep() == serial[0]
-        assert not tables[0].helper_started
+    def test_ignored_sigchld_gives_the_same_curve(self, serial, helpers):
+        # the system reaps the helper itself, before or while close() kills it
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert helper_sweep() == serial[0]
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(helpers) == 1 and helpers[0] is not None
+        self.assert_stopped(helpers)
+
+    def test_fork_that_fails_gives_the_same_curve(self, serial, tables, monkeypatch):
+        pipes = []
+        pipe = os.pipe
+
+        def recording_pipe():
+            fds = pipe()
+            pipes.extend(fds)
+            return fds
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert helper_sweep() == serial[0]
+        assert tables[0]._helper is None and tables[0].filled == serial[1]
+        assert len(pipes) == 4
+        for fd in pipes:
+            with pytest.raises(OSError):  # closed again
+                os.fstat(fd)
 
     def test_raising_sweep_leaves_no_process(self, tables, helpers, monkeypatch):
         fill = simulation._CellTable.fill
@@ -752,10 +797,28 @@ class TestParallelSweep:
 
         monkeypatch.setattr(simulation._CellTable, "fill", fail_late)
         with pytest.raises(KeyboardInterrupt):
-            self.sweep()
+            helper_sweep()
         assert len(helpers) == 1 and helpers[0] is not None
         self.assert_stopped(helpers)
 
-    def test_helper_refuses_another_copy_of_the_package(self):
-        with pytest.raises(SystemExit, match="replay helper imported"):
-            simulation._serve_cells("/elsewhere/takerate/simulation.py")
+
+class TestWhenToFork:
+    """The rules that decide whether a table forks its helper."""
+
+    def test_find_equilibrium_never_forks(self, forks):
+        eq = find_equilibrium(replace(HELPER_PARAMS, t1=0.2), HELPER_TRADES, 2e6, seed=4)
+        assert 0.0 < eq.l1 < 1.0
+        assert forks == []
+
+    def test_sweep_beside_another_thread_runs_serially(self, serial, tables, forks):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            curve = helper_sweep()
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert curve == serial[0] and tables[0].filled == serial[1]
