@@ -219,12 +219,15 @@ def protocol_revenue(params: ModelParams) -> float:
 
 
 def check_step(name: str, step: float) -> None:
-    """Reject a grid step outside (0, 0.5], naming its key.
+    """Reject a grid step outside (0, 0.5] or too small to count, naming its key.
 
-    A step above 0.5 would leave a grid over [0, 1] without an interior point.
+    A step above 0.5 would leave a grid over [0, 1] without an interior point,
+    and a step whose reciprocal overflows gives unit_grid no step count.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError(f"{name} must lie in (0, 0.5], got {step}")
+    if not math.isfinite(1.0 / step):
+        raise ValueError(f"{name} is too small: 1/{name} overflows, got {step}")
 
 
 def unit_grid(step: float) -> list[float]:

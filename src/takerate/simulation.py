@@ -21,11 +21,12 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    rev1, so the sweep labels the trace once and every take rate searches
    the same table: each split is replayed at most once per sweep.  The
    searches advance in lockstep, one round of cell requests at a time, and
-   on a machine with two or more usable cores a long sweep lends every
-   second new cell of a round to one helper, a forked child of this process.
-   Without os.fork or the cores, while another thread runs, on a short
-   trace, or if the helper fails, every cell replays in this process; the
-   curve is the same.  Nothing needs configuring.
+   on a machine with two or more usable cores a long sweep forks one child
+   per round, which replays every second new cell of that round and is
+   reaped before the round ends.  Without os.fork or the cores, while
+   another thread runs, on a short trace, or if a child fails, every cell
+   replays in this process; the curve is the same.  Nothing needs
+   configuring.
 
 Volumes and fee revenue are accounted in token-0 units; token-1 legs convert
 at the pool's pre-trade marginal price.  Pools are constructed balanced at a
@@ -418,14 +419,15 @@ class _CellTable:
     _replay_two; cell 0 (all liquidity in pool 2) and cell m (all in pool 1)
     replay the surviving pool through _replay_single.
 
-    The first request for three or more new cells forks one helper, a child
-    of this process that holds the labelled trace already, if os.fork
-    exists, two cores are usable, no other thread runs and the trace is long
-    enough (see _HELPER_MIN_WORK).  From then on fill lends it every second
-    new cell.  A lone search asks for two cells at most, so it never forks.
-    Leaving the table as a context manager stops the helper.  If the helper
-    cannot start, dies or replies badly, the parent replays its cells too:
-    the outcomes are the same either way.
+    A round of three or more missing cells forks one child of this process
+    if os.fork exists, two cores are usable, no other thread runs and the
+    trace is long enough (see _FORK_MIN_WORK).  The child inherits the
+    labelled trace, replays every second missing cell and writes the
+    outcomes back, while this process replays the others; fill reaps the
+    child before it returns or raises.  A lone search asks for two cells at
+    most, so it never forks.  If the fork fails or the child dies or replies
+    badly, this process replays the child's cells too: the outcomes are the
+    same either way, and nothing carries over to the next round.
     """
 
     def __init__(
@@ -454,17 +456,9 @@ class _CellTable:
         L_min = min(self.shares[1], 1.0 - self.shares[-2]) * L_total
         largest = max((ev.amount_in for ev in trades), default=0.0)
         _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
-        self.replays = 0  # replays run, here or in the helper
+        self.replays = 0  # replays run, here or in a child
         self._cells: dict[int, SimOutcome] = {}
-        self._helper: Optional[tuple[int, BinaryIO, BinaryIO]] = None
-        self._may_fork = len(trades) * (self.m + 1) >= _HELPER_MIN_WORK
         self.compiled = _compile(trades, assign_sticky(trades, params.s1, params.s2, seed))
-
-    def __enter__(self) -> _CellTable:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def cell(self, i: int) -> SimOutcome:
         """The replay outcome at index i, replayed on first use."""
@@ -474,42 +468,35 @@ class _CellTable:
     def fill(self, indices: Iterable[int]) -> None:
         """Replay every cell of indices that the table does not hold yet.
 
-        With a helper running, every second missing cell in index order goes
-        to the helper while the parent replays the others, so which replays
-        run in the parent depends on the request alone.
+        With a child forked, every second missing cell in index order goes to
+        the child while this process replays the others, so which replays run
+        here depends on the request alone.
         """
         missing = sorted(set(indices).difference(self._cells))
-        if self._may_fork and len(missing) >= 3:
-            self._may_fork = False
-            self._helper = self._fork()
-        lent = missing[1::2] if self._helper is not None else []
-        if lent and not self._send(lent):
-            lent = []
-        for i in missing[0::2] if lent else missing:
-            self._cells[i] = self._replay(i)
-        if lent:
-            outcomes = self._receive(len(lent)) or [self._replay(i) for i in lent]
-            self._cells.update(zip(lent, outcomes))
-
-    def close(self) -> None:
-        """Stop the helper, if one runs: close both pipes, kill it and reap it."""
-        helper, self._helper = self._helper, None
-        if helper is None:
+        lent = missing[1::2]
+        child = self._fork(lent) if len(missing) >= 3 else None
+        if child is None:
+            for i in missing:
+                self._cells[i] = self._replay(i)
             return
-        import signal
+        pid, replies = child
+        try:
+            for i in missing[0::2]:
+                self._cells[i] = self._replay(i)
+            outcomes = self._receive(replies, len(lent))
+        finally:
+            import signal  # only a run that forks needs it
 
-        pid, requests, replies = helper
-        try:
-            requests.close()
-        except OSError:  # the helper died before reading all of a request
-            pass
-        replies.close()
-        # with SIGCHLD ignored, the system may have reaped the helper already
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass
+            replies.close()
+            # kill the child if it still runs, and reap it; with SIGCHLD
+            # ignored, the system may have reaped it already
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+        self._cells.update(zip(lent, outcomes or [self._replay(i) for i in lent]))
 
     def _replay(self, i: int) -> SimOutcome:
         self.replays += 1
@@ -521,78 +508,62 @@ class _CellTable:
         L2 = (1.0 - self.shares[i]) * self.L_total
         return _replay_two(L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold)[0]
 
-    def _fork(self) -> Optional[tuple[int, BinaryIO, BinaryIO]]:
-        """Fork the replay helper: its pid, request pipe and reply pipe, or None."""
+    def _fork(self, lent: list[int]) -> Optional[tuple[int, BinaryIO]]:
+        """Fork a child that replays the cells lent: its pid and reply pipe, or None.
+
+        The reply is one marshal list of SimOutcome field tuples, one per
+        cell, which is exact for floats.
+        """
         import threading  # a fork beside another thread can deadlock the child
 
-        if not hasattr(os, "fork") or _usable_cores() < 2 or threading.active_count() > 1:
+        if (
+            len(self.compiled) * (self.m + 1) < _FORK_MIN_WORK
+            or not hasattr(os, "fork")
+            or _usable_cores() < 2
+            or threading.active_count() > 1
+        ):
             return None
         fds: list[int] = []
         try:
-            fds += os.pipe()  # requests: read end, write end
-            fds += os.pipe()  # replies
+            fds += os.pipe()
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
             return None
-        requests_r, requests_w, replies_r, replies_w = fds
+        replies_r, replies_w = fds
         if pid == 0:
-            # the child: serve until the parent closes the requests, never
-            # returning into the caller's stack or flushing its buffers
+            # the child: never return into the caller's stack or flush its
+            # buffers; any error ends in an EOF for the parent
             try:
-                os.close(requests_w)
                 os.close(replies_r)
-                self._serve(open(requests_r, "rb"), open(replies_w, "wb"))
+                with open(replies_w, "wb") as replies:
+                    marshal.dump([astuple(self._replay(i)) for i in lent], replies)
             finally:
                 os._exit(0)
-        os.close(requests_r)
         os.close(replies_w)
-        return pid, open(requests_w, "wb"), open(replies_r, "rb")
+        return pid, open(replies_r, "rb")
 
-    def _serve(self, requests: BinaryIO, replies: BinaryIO) -> None:
-        """The helper's loop: answer lists of indices until the requests close.
-
-        Each reply holds one tuple of SimOutcome field values per index.  Both
-        are marshal data, which is exact for floats.  The loop ends in the
-        EOFError of a closed pipe, or in any other error; _fork then exits.
-        """
-        while True:
-            outcomes = [self._replay(i) for i in marshal.load(requests)]
-            marshal.dump([astuple(o) for o in outcomes], replies)
-            replies.flush()
-
-    def _send(self, indices: list[int]) -> bool:
-        """Write one request to the helper; stop it and return False if that fails."""
-        requests = self._helper[1]
+    def _receive(self, replies: BinaryIO, count: int) -> Optional[list[SimOutcome]]:
+        """The child's count outcomes, or None on EOF, OSError or a bad reply."""
         try:
-            marshal.dump(indices, requests)
-            requests.flush()
-            return True
-        except OSError:
-            self.close()
-            return False
-
-    def _receive(self, count: int) -> Optional[list[SimOutcome]]:
-        """The helper's count outcomes, or None (helper stopped) on a bad reply."""
-        try:
-            reply = marshal.load(self._helper[2])
+            reply = marshal.load(replies)
             if len(reply) == count:
                 outcomes = [SimOutcome(*values) for values in reply]
                 self.replays += count
                 return outcomes
         except (EOFError, OSError, TypeError, ValueError):
             pass
-        self.close()
         return None
 
 
-# A sweep forks its helper only when its trace length times the grid's m + 1
-# cells reaches this many trade replays.  On a 2-core Xeon, sweeps of 101 take
-# rates over 201 cells ran 26-45% faster forked than serial at 2,500 trades
-# and 35-43% at 5,000; at 1,250 trades the change ranged from -6% to +34%, and
-# at 625 trades the fork and the pipe traffic cost more than they saved.
-_HELPER_MIN_WORK = 500_000
+# A sweep round forks only when the trace length times the grid's m + 1 cells
+# reaches this many trade replays.  On a 2-core Xeon, sweeps of 101 take rates
+# over 201 cells, forking per round, ran a median 42-44% faster than serial at
+# 2,500 and 5,000 trades (7-11 alternating repetitions, three runs); at 1,250
+# trades the median moved from -9% to +39% between runs, and at 625 trades
+# forking was 17% slower.
+_FORK_MIN_WORK = 500_000
 
 
 def _usable_cores() -> int:
@@ -719,7 +690,7 @@ def find_equilibrium(
     r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual is
     monotone in the share, so the grid minimum is located by bracketing
     instead of evaluating every cell.  One search asks for two cells at most,
-    so it never forks the sweep's helper and runs in this process alone.
+    so it never forks and runs in this process alone.
     """
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
     return _solve([_search(params, table)], table)[0]
@@ -741,10 +712,10 @@ def sweep_take_rate(
     normalized as t1 * fees_1 / (V * f) with V the total trace volume.  The
     trace is labelled once and every take rate searches the same cell table,
     so each sample equals find_equilibrium at that take rate and seed.  The
-    searches advance in lockstep; on two or more cores a forked helper
-    replays half of each round's new cells (see _CellTable).
+    searches advance in lockstep; on two or more cores each round forks a
+    child that replays half of the round's new cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
-    with _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold) as table:
-        samples = _solve([_search(replace(params, t1=t1), table) for t1 in grid], table)
+    table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
+    samples = _solve([_search(replace(params, t1=t1), table) for t1 in grid], table)
     return SweepCurve(samples=tuple(samples))

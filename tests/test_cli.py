@@ -266,6 +266,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "take_step" in err
 
+    @pytest.mark.parametrize(
+        "command, key", [("analyze", "take_step"), ("simulate", "take_step"),
+                         ("simulate", "liquidity_step")]
+    )
+    def test_step_with_overflowing_reciprocal(self, tmp_path, capsys, command, key):
+        # 1e-310 lies in (0, 0.5], but 1/1e-310 is inf
+        cfg_path = write_cfg(tmp_path, FORK_CFG)
+        out = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        assert main([command, str(cfg_path), flag, "1e-310", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestClosedStdout:
     """A reader that closes stdout early (`| head -0`) does not fail a finished run."""

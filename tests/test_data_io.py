@@ -218,6 +218,8 @@ class TestScenarioConfigValidation:
             ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", take_step=0.6)
         with pytest.raises(ConfigError):
             ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", liquidity_step=0.0)
+        with pytest.raises(ConfigError, match="liquidity_step is too small"):
+            ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", liquidity_step=1e-310)
 
     @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
     def test_deviation_threshold_rule(self, threshold):

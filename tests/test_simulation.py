@@ -468,13 +468,17 @@ class TestFindEquilibrium:
     def test_step_errors_name_the_key(self):
         params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
         trades = lognormal_trace(10, 5.0)
-        with pytest.raises(ValueError, match="liquidity_step"):
-            find_equilibrium(params, trades, 1e6, liquidity_step=0.6)
-        with pytest.raises(ValueError, match="take_step"):
-            sweep_take_rate(params, trades, 1e6, take_step=0.0)
+        # 1e-310 and 5e-324 lie in (0, 0.5], but their reciprocals overflow
+        for step in (0.6, 1e-310):
+            with pytest.raises(ValueError, match="liquidity_step"):
+                find_equilibrium(params, trades, 1e6, liquidity_step=step)
+        for step in (0.0, 5e-324):
+            with pytest.raises(ValueError, match="take_step"):
+                sweep_take_rate(params, trades, 1e6, take_step=step)
         for key in ("take_step", "liquidity_step"):
-            with pytest.raises(ConfigError, match=key):
-                ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", **{key: 0.7})
+            for step in (0.7, 1e-310):
+                with pytest.raises(ConfigError, match=key):
+                    ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", **{key: step})
 
     @pytest.mark.parametrize("step", [0.3, 0.4, 0.45])
     def test_liquidity_grid_reaches_its_last_interior_cell(self, step):
@@ -664,7 +668,7 @@ def forks(monkeypatch):
     return pids
 
 
-# long enough that a sweep forks its helper (see _HELPER_MIN_WORK)
+# long enough that a sweep's rounds fork (see _FORK_MIN_WORK)
 HELPER_TRADES = lognormal_trace(6000, 30.0, seed=17)
 HELPER_PARAMS = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
 
@@ -684,56 +688,79 @@ def serial():
     return SweepCurve(samples=tuple(samples)), set(table._cells)
 
 
-@pytest.mark.skipif(simulation._usable_cores() < 2, reason="the helper needs two cores")
+# helper_sweep's rounds ask for 2, 2, 2, 4, 7, 12, 16, 19 and 13 new cells
+ROUNDS_THAT_FORK = 6
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):  # every child reaped, none running
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(simulation._usable_cores() < 2, reason="forking needs two cores")
 class TestParallelSweep:
-    """The sweep's forked helper: same curve, same cells, nothing left running."""
+    """The sweep's per-round children: same curve, same cells, nothing left running."""
 
     @pytest.fixture
-    def helpers(self, monkeypatch):
-        """Every helper the sweep forks: (pid, request pipe, reply pipe)."""
+    def children(self, monkeypatch):
+        """Every child the sweep forks: (pid, reply pipe)."""
         started = []
         fork = simulation._CellTable._fork
 
-        def recording(table):
-            helper = fork(table)
-            started.append(helper)
-            return helper
+        def recording(table, lent):
+            child = fork(table, lent)
+            if child is not None:
+                started.append(child)
+            return child
 
         monkeypatch.setattr(simulation._CellTable, "_fork", recording)
         return started
 
+    @pytest.fixture
+    def checked_fills(self, monkeypatch):
+        """After every fill: its cells held, and no child left running."""
+        fill = simulation._CellTable.fill
+
+        def fill_then_check(table, indices):
+            indices = set(indices)
+            fill(table, indices)
+            assert indices <= set(table._cells)
+            assert_no_child()
+
+        monkeypatch.setattr(simulation._CellTable, "fill", fill_then_check)
+
     @staticmethod
-    def assert_stopped(helpers):
-        for pid, requests, replies in helpers:
+    def assert_stopped(children):
+        for pid, replies in children:
             with pytest.raises(ChildProcessError):  # reaped, not left running
                 os.waitpid(pid, os.WNOHANG)
-            assert requests.closed and replies.closed
+            assert replies.closed
+        assert_no_child()
 
-    def test_equals_serial_search_cell_for_cell(self, serial, tables, helpers):
+    def test_equals_serial_search_cell_for_cell(self, serial, tables, children, checked_fills):
         curve = helper_sweep()
         (table,) = tables
-        assert len(helpers) == 1 and helpers[0] is not None
+        assert len(children) == ROUNDS_THAT_FORK
         assert curve == serial[0]
         assert table.filled == serial[1]
         assert table.replays == len(serial[1])
-        assert table._helper is None
-        self.assert_stopped(helpers)
+        self.assert_stopped(children)
 
-    @pytest.mark.parametrize("when", ["before a request", "during a request", "never: bad reply"])
-    def test_failed_helper_gives_the_same_curve(self, serial, tables, helpers, monkeypatch, when):
-        send = simulation._CellTable._send
+    @pytest.mark.parametrize("failure", ["child killed before it replies", "bad reply"])
+    def test_failed_child_gives_the_same_curve(
+        self, serial, tables, children, checked_fills, monkeypatch, failure
+    ):
+        fork = simulation._CellTable._fork
+        killed = []
 
-        def send_then_kill(self, indices):
-            if when == "before a request" and len(self._cells) > 8:
-                kill(self._helper[0])
-            sent = send(self, indices)
-            if when == "during a request" and len(self._cells) > 8:
-                kill(self._helper[0])
-            return sent
-
-        def kill(pid):
-            os.kill(pid, signal.SIGKILL)
-            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left to reap
+        def fork_then_kill(table, lent):
+            child = fork(table, lent)
+            if child is not None and not killed:
+                pid = child[0]
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left to reap
+                killed.append(pid)
+            return child
 
         parent = os.getpid()
 
@@ -745,30 +772,31 @@ class TestParallelSweep:
                 message = marshal.load(stream)
                 return [("not", "an", "outcome")] if os.getpid() == parent else message
 
-        monkeypatch.setattr(simulation._CellTable, "_send", send_then_kill)
-        if when == "never: bad reply":
+        if failure == "bad reply":
             monkeypatch.setattr(simulation, "marshal", BadReply)
+        else:
+            monkeypatch.setattr(simulation._CellTable, "_fork", fork_then_kill)
         curve = helper_sweep()
         (table,) = tables
-        assert len(helpers) == 1 and helpers[0] is not None
+        assert len(children) == ROUNDS_THAT_FORK  # later rounds fork again
         assert curve == serial[0] and table.filled == serial[1]
-        assert table.replays == len(serial[1])
-        assert table._helper is None  # the parent took over
-        self.assert_stopped(helpers)
+        assert table.replays == len(serial[1])  # the parent replayed the lost cells
+        self.assert_stopped(children)
 
-    def test_ignored_sigchld_gives_the_same_curve(self, serial, helpers):
-        # the system reaps the helper itself, before or while close() kills it
+    def test_ignored_sigchld_gives_the_same_curve(self, serial, children, checked_fills):
+        # the system reaps each child itself, before or while fill kills it
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             assert helper_sweep() == serial[0]
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert len(helpers) == 1 and helpers[0] is not None
-        self.assert_stopped(helpers)
+        assert len(children) == ROUNDS_THAT_FORK
+        self.assert_stopped(children)
 
     def test_fork_that_fails_gives_the_same_curve(self, serial, tables, monkeypatch):
         pipes = []
         pipe = os.pipe
+        refused = []
 
         def recording_pipe():
             fds = pipe()
@@ -776,34 +804,39 @@ class TestParallelSweep:
             return fds
 
         def no_fork():
+            refused.append(None)
             raise OSError("fork refused")
 
         monkeypatch.setattr(os, "pipe", recording_pipe)
         monkeypatch.setattr(os, "fork", no_fork)
         assert helper_sweep() == serial[0]
-        assert tables[0]._helper is None and tables[0].filled == serial[1]
-        assert len(pipes) == 4
+        assert tables[0].filled == serial[1]
+        assert len(refused) == ROUNDS_THAT_FORK
+        assert len(pipes) == 2 * len(refused)
         for fd in pipes:
             with pytest.raises(OSError):  # closed again
                 os.fstat(fd)
+        assert_no_child()
 
-    def test_raising_sweep_leaves_no_process(self, tables, helpers, monkeypatch):
-        fill = simulation._CellTable.fill
+    def test_raising_sweep_leaves_no_process(self, tables, children, monkeypatch):
+        replay = simulation._CellTable._replay
+        parent = os.getpid()
 
-        def fail_late(self, indices):
-            if len(self._cells) > 10:
+        def fail_late(self, i):
+            # the parent stops in its own replays while a child runs
+            if os.getpid() == parent and children and len(self._cells) > 10:
                 raise KeyboardInterrupt
-            fill(self, indices)
+            return replay(self, i)
 
-        monkeypatch.setattr(simulation._CellTable, "fill", fail_late)
+        monkeypatch.setattr(simulation._CellTable, "_replay", fail_late)
         with pytest.raises(KeyboardInterrupt):
             helper_sweep()
-        assert len(helpers) == 1 and helpers[0] is not None
-        self.assert_stopped(helpers)
+        assert len(children) == 2
+        self.assert_stopped(children)
 
 
 class TestWhenToFork:
-    """The rules that decide whether a table forks its helper."""
+    """The rules that decide whether a round forks a child."""
 
     def test_find_equilibrium_never_forks(self, forks):
         eq = find_equilibrium(replace(HELPER_PARAMS, t1=0.2), HELPER_TRADES, 2e6, seed=4)
@@ -822,3 +855,19 @@ class TestWhenToFork:
         assert not waiter.is_alive()
         assert forks == []
         assert curve == serial[0] and tables[0].filled == serial[1]
+
+    def test_sweep_without_os_fork_runs_serially(self, serial, tables, monkeypatch):
+        forked = []
+        fork = simulation._CellTable._fork
+
+        def recording(table, lent):
+            forked.append(fork(table, lent))
+            return forked[-1]
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(simulation._CellTable, "_fork", recording)
+        curve = helper_sweep()
+        assert len(forked) == ROUNDS_THAT_FORK and set(forked) == {None}
+        assert curve == serial[0] and tables[0].filled == serial[1]
+        assert tables[0].replays == len(serial[1])
+        assert_no_child()
