@@ -746,12 +746,16 @@ class TestParallelSweep:
         assert table.replays == len(serial[1])
         self.assert_stopped(children)
 
-    @pytest.mark.parametrize("failure", ["child killed before it replies", "bad reply"])
-    def test_failed_child_gives_the_same_curve(
-        self, serial, tables, children, checked_fills, monkeypatch, failure
+    @pytest.mark.parametrize("when", ["before a request", "during a request", "never: bad reply"])
+    def test_failed_helper_gives_the_same_curve(
+        self, serial, tables, children, checked_fills, monkeypatch, when
     ):
+        # the first round's child dies before it replays a cell of its
+        # request, or while it replays them; or every child replies badly
         fork = simulation._CellTable._fork
+        replay = simulation._CellTable._replay
         killed = []
+        parent = os.getpid()
 
         def fork_then_kill(table, lent):
             child = fork(table, lent)
@@ -762,7 +766,11 @@ class TestParallelSweep:
                 killed.append(pid)
             return child
 
-        parent = os.getpid()
+        def replay_then_die(table, i):
+            outcome = replay(table, i)
+            if os.getpid() != parent and not children:  # in the first round's child
+                os.kill(os.getpid(), signal.SIGKILL)
+            return outcome
 
         class BadReply:
             dump = staticmethod(marshal.dump)
@@ -772,10 +780,12 @@ class TestParallelSweep:
                 message = marshal.load(stream)
                 return [("not", "an", "outcome")] if os.getpid() == parent else message
 
-        if failure == "bad reply":
-            monkeypatch.setattr(simulation, "marshal", BadReply)
-        else:
+        if when == "before a request":
             monkeypatch.setattr(simulation._CellTable, "_fork", fork_then_kill)
+        elif when == "during a request":
+            monkeypatch.setattr(simulation._CellTable, "_replay", replay_then_die)
+        else:
+            monkeypatch.setattr(simulation, "marshal", BadReply)
         curve = helper_sweep()
         (table,) = tables
         assert len(children) == ROUNDS_THAT_FORK  # later rounds fork again
