@@ -14,6 +14,7 @@ from .analytical import (
     EquilibriumResult,
     IndeterminateEquilibriumError,
     ModelParams,
+    equilibrium_curve,
     equilibrium_share,
     lp_roi,
     optimal_take_rate,
@@ -72,6 +73,7 @@ __all__ = [
     "TradeEvent",
     "arbitrage",
     "assign_sticky",
+    "equilibrium_curve",
     "equilibrium_share",
     "execute_swap",
     "find_equilibrium",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 # Below this, the quadratic's denominator is treated as singular and the
 # pre-quadratic linear balance equation is solved instead.
@@ -29,8 +29,18 @@ _CLAMP_EPS = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Take-rate step of optimal_take_rate's scan before the golden-section step.
+# Take-rate step of optimal_take_rate's scan before the golden-section step;
+# the scan grid itself is built below unit_grid, once.
 _SCAN_STEP = 0.001
+
+# Most steps a grid over [0, 1] may take, so that a tiny step fails by name
+# rather than by exhausting memory; 1e-5 is the finest step accepted.
+_MAX_GRID_STEPS = 100_000
+
+_INDETERMINATE = (
+    "every liquidity split satisfies the balance condition "
+    "(no sticky volume and matched take-rate attractiveness)"
+)
 
 
 class IndeterminateEquilibriumError(ValueError):
@@ -144,73 +154,80 @@ def equilibrium_share(params: ModelParams) -> float:
     (1-t2) - (1+d)*(1-t1) is negative, the smaller one when positive.  When
     den vanishes (matched fee attractiveness, or all volume sticky) the
     balance equation is linear and solved directly; if it is degenerate as
-    well, every split is an equilibrium and an error is raised.  The solver
-    itself is _equilibrium_share, which takes the five validated floats, so
-    loops over one scenario need not rebuild a ModelParams per point.
+    well, every split is an equilibrium and an error is raised.  This is the
+    one-point case of _equilibrium_shares, which solves a whole take-rate grid.
     """
-    return _equilibrium_share(params.t1, params.t2, params.s1, params.s2, params.d)
-
-
-def _equilibrium_share(t1: float, t2: float, s1: float, s2: float, d: float) -> float:
-    """equilibrium_share on the fields of a valid ModelParams."""
-    a = (1.0 + d) * (1.0 - t1) * s1
-    c = (1.0 - t2) * s2
-    gap = (1.0 - t2) - (1.0 + d) * (1.0 - t1)
-    routed = 1.0 - s1 - s2
-
-    if abs(gap) <= _SINGULAR_EPS or routed <= _SINGULAR_EPS:
-        if a + c <= 0.0:
-            raise IndeterminateEquilibriumError(
-                "every liquidity split satisfies the balance condition "
-                "(no sticky volume and matched take-rate attractiveness)"
-            )
-        return a / (a + c)
-
-    den = routed * gap
-    p = 1.0 + (a + c) / den
-    q = a / den
-    # p^2/4 - q rewritten as ((den - a + c)^2 + 4ac) / (4 den^2): nonnegative
-    # by construction and free of the cancellation that plagues the naive
-    # form near a double root.
-    spread = den - a + c
-    disc = (spread * spread + 4.0 * a * c) / (4.0 * den * den)
-    if math.isfinite(disc):
-        root = math.sqrt(disc)
-    else:
-        # The squares overflow once d passes ~1e154; the same root without them.
-        root = math.hypot(spread, 2.0 * math.sqrt(a * c)) / (2.0 * abs(den))
-
-    # Stable root pair: take the larger-magnitude root directly, recover the
-    # other from the product q to avoid cancellation near the singularity.
-    if p >= 0.0:
-        big = p / 2.0 + root
-        plus_root = big
-        minus_root = q / big if big != 0.0 else 0.0
-    else:
-        big = p / 2.0 - root
-        minus_root = big
-        plus_root = q / big if big != 0.0 else 0.0
-
-    l1 = plus_root if gap < 0.0 else minus_root
-    if l1 < 0.0:
-        if l1 < -_CLAMP_EPS:
-            raise RuntimeError(f"equilibrium root {l1} outside [0, 1]")
-        l1 = 0.0
-    elif l1 > 1.0:
-        if l1 > 1.0 + _CLAMP_EPS:
-            raise RuntimeError(f"equilibrium root {l1} outside [0, 1]")
-        l1 = 1.0
+    (l1,) = _equilibrium_shares((params.t1,), params.t2, params.s1, params.s2, params.d)
+    if l1 is None:
+        raise IndeterminateEquilibriumError(_INDETERMINATE)
     return l1
+
+
+def _equilibrium_shares(
+    t1s: Sequence[float], t2: float, s1: float, s2: float, d: float
+) -> list[Optional[float]]:
+    """equilibrium_share at every take rate of t1s, under one valid (t2, s1, s2, d).
+
+    This is the one place the quadratic is solved.  The terms that do not
+    depend on t1 are computed once, so a grid costs one loop over floats and
+    no ModelParams per point; each point runs the same float operations in
+    the same order as a call for that point alone.  A point where every
+    split is an equilibrium gives None instead of raising.
+    """
+    eps, sqrt, inf = _SINGULAR_EPS, math.sqrt, math.inf
+    one_t2 = 1.0 - t2
+    one_d = 1.0 + d
+    c = one_t2 * s2
+    routed = 1.0 - s1 - s2
+    linear = routed <= eps
+    shares: list[Optional[float]] = []
+    append = shares.append
+    for t1 in t1s:
+        u = one_d * (1.0 - t1)
+        a = u * s1
+        gap = one_t2 - u
+
+        if linear or -eps <= gap <= eps:
+            append(None if a + c <= 0.0 else a / (a + c))
+            continue
+
+        den = routed * gap
+        p = 1.0 + (a + c) / den
+        q = a / den
+        # p^2/4 - q rewritten as ((den - a + c)^2 + 4ac) / (4 den^2): nonnegative
+        # by construction and free of the cancellation that plagues the naive
+        # form near a double root.
+        spread = den - a + c
+        disc = (spread * spread + 4.0 * a * c) / (4.0 * den * den)
+        if disc < inf:
+            root = sqrt(disc)
+        else:
+            # The squares overflow once d passes ~1e154; the same root without them.
+            root = math.hypot(spread, 2.0 * sqrt(a * c)) / (2.0 * abs(den))
+
+        # Stable root pair: take the larger-magnitude root directly, recover the
+        # other from the product q to avoid cancellation near the singularity.
+        # A negative gap picks the plus root, a positive one the minus root.
+        big = p / 2.0 + root if p >= 0.0 else p / 2.0 - root
+        if (gap < 0.0) == (p >= 0.0):
+            l1 = big
+        else:
+            l1 = q / big if big != 0.0 else 0.0
+        if l1 < 0.0:
+            if l1 < -_CLAMP_EPS:
+                raise RuntimeError(f"equilibrium root {l1} outside [0, 1]")
+            l1 = 0.0
+        elif l1 > 1.0:
+            if l1 > 1.0 + _CLAMP_EPS:
+                raise RuntimeError(f"equilibrium root {l1} outside [0, 1]")
+            l1 = 1.0
+        append(l1)
+    return shares
 
 
 def revenue_at(params: ModelParams, l1: float) -> float:
     """Normalized protocol revenue rev1 = t1*(s1 + (1-s1-s2)*l1) at share l1."""
-    return _revenue(params.t1, params.s1, params.s2, l1)
-
-
-def _revenue(t1: float, s1: float, s2: float, l1: float) -> float:
-    """revenue_at on the fields of a valid ModelParams."""
-    return t1 * (s1 + (1.0 - s1 - s2) * l1)
+    return params.t1 * (params.s1 + (1.0 - params.s1 - params.s2) * l1)
 
 
 def protocol_revenue(params: ModelParams) -> float:
@@ -219,15 +236,24 @@ def protocol_revenue(params: ModelParams) -> float:
 
 
 def check_step(name: str, step: float) -> None:
-    """Reject a grid step outside (0, 0.5] or too small to count, naming its key.
+    """Reject a grid step outside (0, 0.5] or too fine to build, naming its key.
 
     A step above 0.5 would leave a grid over [0, 1] without an interior point,
-    and a step whose reciprocal overflows gives unit_grid no step count.
+    and one below 1e-5 would make unit_grid build more than _MAX_GRID_STEPS
+    steps (a step whose reciprocal overflows gives no step count at all).
     """
     if not 0.0 < step <= 0.5:
         raise ValueError(f"{name} must lie in (0, 0.5], got {step}")
-    if not math.isfinite(1.0 / step):
-        raise ValueError(f"{name} is too small: 1/{name} overflows, got {step}")
+    if _step_count(step) > _MAX_GRID_STEPS:
+        raise ValueError(
+            f"{name} is too small: a grid over [0, 1] would take more than "
+            f"{_MAX_GRID_STEPS} steps, got {step}"
+        )
+
+
+def _step_count(step: float) -> float:
+    """Steps of unit_grid(step) before rounding up; inf if 1/step overflows."""
+    return 1.0 / step - 1e-9
 
 
 def unit_grid(step: float) -> list[float]:
@@ -238,8 +264,11 @@ def unit_grid(step: float) -> list[float]:
     takes 49.  The last value is 1 itself, not 49 * (1/49), which misses it.
     Both the take-rate grid and the simulation's liquidity grid are this one.
     """
-    n = math.ceil(1.0 / step - 1e-9)
+    n = math.ceil(_step_count(step))
     return [i * step for i in range(n)] + [1.0]
+
+
+_SCAN_GRID = unit_grid(_SCAN_STEP)
 
 
 def take_rate_grid(take_step: float) -> list[float]:
@@ -272,10 +301,9 @@ def optimal_take_rate(params: ModelParams) -> tuple[float, float]:
     params.t1 is ignored.  With s2 = 0 the optimum is the closed form
     t1* = 1 - (1-s1)*(1-t2)/(1+d), the largest take rate at which pool 1
     still holds all liquidity.  With s2 > 0 the revenue curve is scanned on
-    a take-rate grid of step 0.001 and the best cell refined by
-    golden-section search to 1e-6; ties go to the smaller take rate.  The
-    scan evaluates the float kernels directly: params is validated once and
-    every grid point only changes t1 within [0, 1].
+    a take-rate grid of step 0.001, solved in one _equilibrium_shares pass,
+    and the best cell refined by golden-section search to 1e-6; ties go to
+    the smaller take rate.
     """
     if params.s2 == 0.0:
         t_star = 1.0 - (1.0 - params.s1) * (1.0 - params.t2) / (1.0 + params.d)
@@ -284,24 +312,29 @@ def optimal_take_rate(params: ModelParams) -> tuple[float, float]:
         return t_star, t_star
 
     t2, s1, s2, d = params.t2, params.s1, params.s2, params.d
+    routed = 1.0 - s1 - s2
+
+    def revenues(t1s: Sequence[float]) -> list[float]:
+        revs = []
+        for t1, l1 in zip(t1s, _equilibrium_shares(t1s, t2, s1, s2, d)):
+            if l1 is None:
+                # Every split is an equilibrium (e.g. t2 = 1 with s1 = 0).  With
+                # no volume routed, revenue does not depend on the split;
+                # otherwise it is undefined there and the point cannot be the
+                # argmax.
+                if routed > _SINGULAR_EPS:
+                    revs.append(-math.inf)
+                    continue
+                l1 = 0.0
+            revs.append(t1 * (s1 + routed * l1))
+        return revs
 
     def rev(t1: float) -> float:
-        try:
-            return _revenue(t1, s1, s2, _equilibrium_share(t1, t2, s1, s2, d))
-        except IndeterminateEquilibriumError:
-            # Every split is an equilibrium (e.g. t2 = 1 with s1 = 0).  With no
-            # volume routed, revenue does not depend on the split; otherwise
-            # it is undefined there and the point cannot be the argmax.
-            if 1.0 - s1 - s2 <= _SINGULAR_EPS:
-                return _revenue(t1, s1, s2, 0.0)
-            return -math.inf
+        return revenues((t1,))[0]
 
-    grid = take_rate_grid(_SCAN_STEP)
-    best_t, best_rev = grid[0], rev(grid[0])
-    for t1 in grid[1:]:
-        r = rev(t1)
-        if r > best_rev:
-            best_t, best_rev = t1, r
+    scan = revenues(_SCAN_GRID)
+    best_rev = max(scan)
+    best_t = _SCAN_GRID[scan.index(best_rev)]  # the first of equal maxima
     refined_t = _golden_max(
         rev, max(0.0, best_t - _SCAN_STEP), min(1.0, best_t + _SCAN_STEP), tol=1e-6
     )
@@ -311,14 +344,58 @@ def optimal_take_rate(params: ModelParams) -> tuple[float, float]:
     return best_t, best_rev
 
 
+def equilibrium_curve(
+    params: ModelParams,
+    L_total: float,
+    t1s: Sequence[float],
+    indeterminate_share: Optional[float] = None,
+) -> list[Optional[EquilibriumResult]]:
+    """solve_equilibrium at every take rate of t1s; params.t1 is ignored.
+
+    This is the one place the closed-form curve is computed.  The shares come
+    from one _equilibrium_shares pass, and v1/v2, r1/r2 and rev1 from the
+    expressions of pool_volumes, lp_roi and revenue_at, so each sample equals
+    solve_equilibrium(replace(params, t1=t1), L_total) field for field
+    without a ModelParams per point.  A take rate where every split is an
+    equilibrium gives None, or the sample at indeterminate_share if given.
+    """
+    for t1 in t1s:
+        if not 0.0 <= t1 <= 1.0:
+            raise ValueError(f"t1 must lie in [0, 1], got {t1}")
+    if indeterminate_share is not None and not 0.0 <= indeterminate_share <= 1.0:
+        raise ValueError(f"indeterminate_share must lie in [0, 1], got {indeterminate_share}")
+    if L_total <= 0.0:
+        raise ValueError("L_total must be positive")
+    s1, s2, f, V = params.s1, params.s2, params.f, params.V
+    routed = 1.0 - s1 - s2
+    one_t2 = 1.0 - params.t2
+    samples: list[Optional[EquilibriumResult]] = []
+    for t1, l1 in zip(t1s, _equilibrium_shares(t1s, params.t2, s1, s2, params.d)):
+        if l1 is None:
+            if indeterminate_share is None:
+                samples.append(None)
+                continue
+            l1 = indeterminate_share
+        held = s1 + routed * l1  # pool 1's share of V
+        v1 = held * V
+        v2 = (s2 + routed * (1.0 - l1)) * V
+        if 0.0 < l1 < 1.0:
+            r1 = (1.0 - t1) * v1 * f / (l1 * L_total)
+            r2 = one_t2 * v2 * f / ((1.0 - l1) * L_total)
+        else:
+            r1 = r2 = None
+        samples.append(
+            EquilibriumResult(t1=t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=t1 * held)
+        )
+    return samples
+
+
 def solve_equilibrium(params: ModelParams, L_total: float) -> EquilibriumResult:
-    """Bundle share, volumes, ROIs and revenue for one parameter set."""
-    l1 = equilibrium_share(params)
-    v1, v2 = pool_volumes(params, l1)
-    if 0.0 < l1 < 1.0:
-        r1, r2 = lp_roi(params, l1, L_total)
-    else:
-        r1, r2 = None, None
-    return EquilibriumResult(
-        t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
-    )
+    """Bundle share, volumes, ROIs and revenue for one parameter set.
+
+    The one-point case of equilibrium_curve; raises where equilibrium_share does.
+    """
+    (result,) = equilibrium_curve(params, L_total, (params.t1,))
+    if result is None:
+        raise IndeterminateEquilibriumError(_INDETERMINATE)
+    return result

@@ -25,17 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analytical import (
-    EquilibriumResult,
-    IndeterminateEquilibriumError,
-    ModelParams,
-    lp_roi,
-    optimal_take_rate,
-    pool_volumes,
-    revenue_at,
-    solve_equilibrium,
-    take_rate_grid,
-)
+from .analytical import equilibrium_curve, optimal_take_rate, take_rate_grid
 from .data_io import (
     ConfigError,
     ScenarioConfig,
@@ -78,24 +68,9 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.12g}"
 
 
-def _analytic_point(params: ModelParams, L_total: float) -> EquilibriumResult:
-    try:
-        return solve_equilibrium(params, L_total)
-    except IndeterminateEquilibriumError:
-        l1 = _INDETERMINATE_SHARE
-        v1, v2 = pool_volumes(params, l1)
-        r1, r2 = lp_roi(params, l1, L_total)
-        return EquilibriumResult(
-            t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
-        )
-
-
-def _analytic_curve(config: ScenarioConfig) -> SweepCurve:
-    samples = tuple(
-        _analytic_point(replace(config.params, t1=t1), config.L_total)
-        for t1 in take_rate_grid(config.take_step)
-    )
-    return SweepCurve(samples=samples)
+def _analytic_curve(config: ScenarioConfig, t1s: Sequence[float]) -> SweepCurve:
+    samples = equilibrium_curve(config.params, config.L_total, t1s, _INDETERMINATE_SHARE)
+    return SweepCurve(samples=tuple(samples))
 
 
 def _write_curve_csv(path: Path, curve: SweepCurve, reference: Optional[SweepCurve], simulated: bool) -> None:
@@ -158,9 +133,9 @@ def _write_chart(path: Path, curve: SweepCurve, title: str) -> None:
 
 def cmd_analyze(config: ScenarioConfig, out_dir: str | Path = ".") -> RunReport:
     """Closed-form sweep: l1(t1), rev1(t1) and the optimal take rate."""
-    curve = _analytic_curve(config)
+    curve = _analytic_curve(config, take_rate_grid(config.take_step))
     t1_star, rev1_star = optimal_take_rate(config.params)
-    l1_at_star = _analytic_point(replace(config.params, t1=t1_star), config.L_total).l1
+    l1_at_star = _analytic_curve(config, (t1_star,)).samples[0].l1
     report = RunReport(
         mode="analyze",
         config=config,
@@ -202,7 +177,7 @@ def cmd_simulate(
     reference = None
     max_dl1 = max_drev = None
     if compare:
-        reference = _analytic_curve(config)
+        reference = _analytic_curve(config, take_rate_grid(config.take_step))
         max_dl1 = max(
             abs(s.l1 - r.l1) for s, r in zip(curve.samples, reference.samples)
         )

@@ -17,11 +17,14 @@ from takerate.analytical import (
     EquilibriumResult,
     IndeterminateEquilibriumError,
     ModelParams,
+    check_step,
+    equilibrium_curve,
     equilibrium_share,
     lp_roi,
     optimal_take_rate,
     pool_volumes,
     protocol_revenue,
+    revenue_at,
     solve_equilibrium,
     take_rate_grid,
 )
@@ -347,6 +350,110 @@ class TestSolveEquilibrium:
         assert res.r1 is None and res.r2 is None
 
 
+def point_sample(params, L_total, l1):
+    """One curve sample at share l1, from the per-point public functions."""
+    v1, v2 = pool_volumes(params, l1)
+    r1, r2 = lp_roi(params, l1, L_total) if 0.0 < l1 < 1.0 else (None, None)
+    return EquilibriumResult(
+        t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
+    )
+
+
+class TestEquilibriumCurve:
+    L_TOTAL = 2e6
+
+    def assert_pointwise(self, params, t1s):
+        """Each sample == the per-point solve, field for field, or None where it raises."""
+        curve = equilibrium_curve(params, self.L_TOTAL, t1s)
+        assert len(curve) == len(t1s)
+        nones = 0
+        for t1, sample in zip(t1s, curve):
+            point = replace(params, t1=t1)
+            try:
+                expected = solve_equilibrium(point, self.L_TOTAL)
+            except IndeterminateEquilibriumError:
+                assert sample is None
+                nones += 1
+                continue
+            # dataclass == compares every field with ==, floats exactly
+            assert sample == expected
+            assert sample == point_sample(point, self.L_TOTAL, equilibrium_share(point))
+        return curve, nones
+
+    def test_random_params_equal_per_point_solves(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            s1 = rng.uniform(0.0, 0.6)
+            s2 = rng.choice([0.0, rng.uniform(0.0, 1.0 - s1)])
+            params = ModelParams(
+                t1=rng.random(), t2=rng.uniform(0.0, 0.5), s1=s1, s2=s2,
+                d=rng.choice([0.0, rng.uniform(0.0, 0.5)]), f=rng.uniform(0.001, 0.01),
+                V=rng.uniform(1.0, 1e4),
+            )
+            t1s = take_rate_grid(0.01) + [rng.random() for _ in range(20)]
+            _, nones = self.assert_pointwise(params, t1s)
+            assert nones == 0
+
+    def test_singular_gap_takes_the_linear_branch(self):
+        # d = 0 and t1 = t2 make the gap (1-t2) - (1+d)(1-t1) exactly 0
+        params = ModelParams(t1=0.0, t2=0.25, s1=0.1, s2=0.05)
+        curve, _ = self.assert_pointwise(params, [0.2, 0.25, 0.3])
+        a, c = 0.75 * 0.1, 0.75 * 0.05
+        assert curve[1].l1 == a / (a + c)
+        # with d > 0 the gap only comes within float noise of 0
+        params = ModelParams(t1=0.0, t2=0.1, s1=0.2, s2=0.1, d=0.2)
+        t_gap = 1.0 - 0.9 / 1.2
+        curve, _ = self.assert_pointwise(params, [t_gap, 0.5])
+        assert abs(0.9 - 1.2 * (1.0 - t_gap)) <= 1e-12
+        a, c = 1.2 * (1.0 - t_gap) * 0.2, 0.9 * 0.1
+        assert curve[0].l1 == a / (a + c)
+
+    def test_all_volume_sticky(self):
+        # s1 + s2 = 1 routes nothing, so every point takes the linear branch
+        params = ModelParams(t1=0.0, t2=0.3, s1=0.4, s2=0.6, d=0.1)
+        curve, nones = self.assert_pointwise(params, take_rate_grid(0.05))
+        assert nones == 0
+        for s in curve:
+            a, c = 1.1 * (1.0 - s.t1) * 0.4, 0.7 * 0.6
+            assert s.l1 == a / (a + c)
+            assert s.rev1 == s.t1 * 0.4
+        # with t2 = 1 too, t1 = 1 leaves no sticky attractiveness on either side
+        params = ModelParams(t1=0.0, t2=1.0, s1=0.4, s2=0.6)
+        curve, nones = self.assert_pointwise(params, [0.5, 1.0])
+        assert nones == 1 and curve[1] is None
+
+    def test_indeterminate_tie_is_none(self):
+        params = ModelParams(t1=0.0, t2=0.167, s1=0.0, s2=0.0)
+        t1s = [0.1, 0.167, 0.2]
+        curve, nones = self.assert_pointwise(params, t1s)
+        assert nones == 1 and curve[1] is None
+        with pytest.raises(IndeterminateEquilibriumError):
+            solve_equilibrium(replace(params, t1=0.167), self.L_TOTAL)
+        # a given share fills the tie, and only the tie
+        filled = equilibrium_curve(params, self.L_TOTAL, t1s, indeterminate_share=0.5)
+        assert filled[1] == point_sample(replace(params, t1=0.167), self.L_TOTAL, 0.5)
+        assert [filled[0], filled[2]] == [curve[0], curve[2]]
+
+    def test_builds_no_model_params(self, monkeypatch):
+        params = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05)
+        validate = ModelParams.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        equilibrium_curve(params, self.L_TOTAL, take_rate_grid(0.01))
+        assert calls == []
+
+    @pytest.mark.parametrize("t1", [-0.1, 1.5, math.nan])
+    def test_take_rate_outside_unit_interval_rejected(self, t1):
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.1)
+        with pytest.raises(ValueError, match="t1 must lie in"):
+            equilibrium_curve(params, self.L_TOTAL, [0.5, t1])
+
+
 class TestModelParamsValidation:
     def test_sticky_rates_must_fit(self):
         with pytest.raises(ValueError):
@@ -379,6 +486,13 @@ class TestTakeRateGrid:
         assert grid[-1] == 1.0
         assert grid[-2] < 1.0
         assert grid[:-1] == [i * step for i in range(len(grid) - 1)]
+
+    def test_grid_size_is_capped(self):
+        check_step("take_step", 1e-5)  # the finest step: 100,000 steps
+        assert len(take_rate_grid(1e-5)) == 100_001
+        for step in (0.99e-5, 1e-12, 1e-310):
+            with pytest.raises(ValueError, match="^take_step is too small"):
+                take_rate_grid(step)
 
     def test_dividing_steps_keep_their_grid(self):
         # 1/n with a float reciprocal just above or below n takes n steps

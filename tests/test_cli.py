@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import takerate
+from takerate.analytical import ModelParams
 from takerate.cli import cmd_analyze, cmd_simulate, main
 from takerate.data_io import (
     SyntheticSpec,
@@ -83,6 +84,26 @@ class TestAnalyze:
         report = cmd_analyze(cfg, out_dir=tmp_path / "out")
         peak = max(s.rev1 for s in report.curve.samples)
         assert report.rev1_star >= peak - 1e-9
+
+    def test_builds_no_model_params(self, tmp_path, monkeypatch):
+        # the curve, the s2 > 0 scan and l1_at_star all run on the config's
+        # one ModelParams, even where the optimum is the no-sticky tie
+        sticky = load_config(write_cfg(tmp_path, FORK_CFG.replace("s2 = 0.0", "s2 = 0.05")))
+        tie = load_config(write_cfg(tmp_path, NO_STICKY_CFG, name="tie.cfg"))
+        validate = ModelParams.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        cmd_analyze(sticky, out_dir=tmp_path / "sticky")
+        report = cmd_analyze(tie, out_dir=tmp_path / "tie")
+        assert calls == []
+        assert report.l1_at_star == 0.5  # the CLI's share for an indeterminate point
+        replace(sticky.params, t1=0.5)
+        assert len(calls) == 1  # the counter itself is live
 
 
 class TestSimulate:
@@ -278,6 +299,21 @@ class TestErrors:
         assert main([command, str(cfg_path), flag, "1e-310", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and "Traceback" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, key", [("analyze", "take_step"), ("simulate", "take_step"),
+                         ("simulate", "liquidity_step")]
+    )
+    def test_step_too_fine_for_a_grid(self, tmp_path, capsys, command, key):
+        # 1e-12 is finite, but its grid would hold 1e12 floats
+        cfg_path = write_cfg(tmp_path, FORK_CFG)
+        out = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        assert main([command, str(cfg_path), flag, "1e-12", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} is too small") and "Traceback" not in err
         assert not out.exists()
 
 
