@@ -129,8 +129,7 @@ def pool_volumes(params: ModelParams, l1: float) -> tuple[float, float]:
 
 def lp_roi(params: ModelParams, l1: float, L_total: float) -> tuple[float, float]:
     """LP return on investment per pool: r_i = (1-t_i)*v_i*f / L_i."""
-    if L_total <= 0.0:
-        raise ValueError("L_total must be positive")
+    check_L_total(L_total)
     if not 0.0 <= l1 <= 1.0:
         raise ValueError("l1 must lie in [0, 1]")
     if l1 == 0.0 or l1 == 1.0:
@@ -233,6 +232,14 @@ def revenue_at(params: ModelParams, l1: float) -> float:
 def protocol_revenue(params: ModelParams) -> float:
     """Normalized protocol revenue at the equilibrium share."""
     return revenue_at(params, equilibrium_share(params))
+
+
+def check_L_total(L_total: float) -> None:
+    """Raise ValueError unless the total liquidity L_total is finite and positive."""
+    if not math.isfinite(L_total):
+        raise ValueError(f"L_total must be finite, got {L_total}")
+    if L_total <= 0.0:
+        raise ValueError(f"L_total must be positive, got {L_total}")
 
 
 def check_step(name: str, step: float) -> None:
@@ -364,8 +371,7 @@ def equilibrium_curve(
             raise ValueError(f"t1 must lie in [0, 1], got {t1}")
     if indeterminate_share is not None and not 0.0 <= indeterminate_share <= 1.0:
         raise ValueError(f"indeterminate_share must lie in [0, 1], got {indeterminate_share}")
-    if L_total <= 0.0:
-        raise ValueError("L_total must be positive")
+    check_L_total(L_total)
     s1, s2, f, V = params.s1, params.s2, params.f, params.V
     routed = 1.0 - s1 - s2
     one_t2 = 1.0 - params.t2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .analytical import ModelParams, check_step
+from .analytical import ModelParams, check_L_total, check_step
 from .simulation import TradeEvent, check_deviation_threshold
 
 
@@ -91,13 +91,8 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "params", params)
-        for name in ("L_total", "take_step", "liquidity_step"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
-        if self.L_total <= 0.0:
-            raise ConfigError(f"L_total must be positive, got {self.L_total}")
         try:
+            check_L_total(self.L_total)
             check_step("take_step", self.take_step)
             check_step("liquidity_step", self.liquidity_step)
             check_deviation_threshold(self.deviation_threshold)

@@ -17,10 +17,10 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    end cells 0 and m replay the single pool that holds all the liquidity.
 4. sweep_take_rate repeats the equilibrium search across a take-rate grid
    and reports the revenue curve.  A replay does not depend on t1, t2 or d,
-   which enter only the residual (1-t1)*fee1/L1*(1+d) - (1-t2)*fee2/L2 and
-   rev1, so the sweep labels the trace once and every take rate searches
-   the same table: each split is replayed at most once per sweep.  The
-   searches advance in lockstep, one round of cell requests at a time, and
+   which enter only the residual (1-t1)*f*vol1/L1*(1+d) - (1-t2)*f*vol2/L2
+   and rev1 = t1*vol1/V, so the sweep labels the trace once and every take
+   rate searches the same table: each split is replayed at most once per
+   sweep.  The searches advance in lockstep, one round of cell requests at a time, and
    on a machine with two or more usable cores a long sweep forks one child
    per round, which replays every second new cell of that round and is
    reaped before the round ends.  Without os.fork or the cores, while
@@ -28,10 +28,12 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    replays in this process; the curve is the same.  Nothing needs
    configuring.
 
-Volumes and fee revenue are accounted in token-0 units; token-1 legs convert
-at the pool's pre-trade marginal price.  Pools are constructed balanced at a
-marginal price of 1 (reserve_a = reserve_b = L_i), so trace amounts of either
-asset are size-comparable.  Everything is deterministic given the seed.
+Volumes are accounted in token-0 units; token-1 legs convert at the pool's
+pre-trade marginal price.  A pool's fee revenue is f times its volume, so
+the replays tally volumes only and _search derives the fees.  Pools are
+constructed balanced at a marginal price of 1 (reserve_a = reserve_b = L_i),
+so trace amounts of either asset are size-comparable.  Everything is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from typing import BinaryIO, Generator, Iterable, Optional, Sequence
 from .analytical import (
     EquilibriumResult,
     ModelParams,
+    check_L_total,
     check_step,
     check_sticky_rates,
     take_rate_grid,
@@ -98,16 +101,14 @@ class SimOutcome:
     """Aggregates of one trace replay, all token-0 normalized.
 
     Both replay kernels build one per replay.  volume_i includes arbitrage
-    legs (broken out again in arb_volume_i), and fees_i is the fee revenue
-    f * volume_i, which differs from the pools' raw per-asset ledgers only by
-    the price conversion.  A single-pool replay leaves the missing pool's
-    tallies at zero.
+    legs (broken out again in arb_volume_i).  Pool i's fee revenue is
+    f * volume_i, which _search derives; it differs from the pools' raw
+    per-asset ledgers only by the price conversion.  A single-pool replay
+    leaves the missing pool's tallies at zero.
     """
 
     volume_1: float
     volume_2: float
-    fees_1: float
-    fees_2: float
     arb_count: int
     rerouted_count: int
     arb_volume_1: float
@@ -190,13 +191,14 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
 
     Returns the SimOutcome and, for each pool, its final reserves and the
     per-asset fee ledger increments: (outcome, (a1, b1, la1, lb1),
-    (a2, b2, la2, lb2)).
+    (a2, b2, la2, lb2)).  Only replay_trades reads the ledgers; the outcome
+    tallies volumes, and the fee revenue f * volume is derived in _search.
     """
     sqrt = math.sqrt
     g1 = 1.0 - f1
     g2 = 1.0 - f2
     la1 = lb1 = la2 = lb2 = 0.0
-    vol1 = vol2 = fee1 = fee2 = 0.0
+    vol1 = vol2 = 0.0
     arb_vol1 = arb_vol2 = 0.0
     arb_count = rerouted = 0
     min_profit = _MIN_PROFIT_SCALE * (a1 + a2)
@@ -250,7 +252,6 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                 a1 -= o1
                 lb1 += f1 * y1
             vol1 += v
-            fee1 += f1 * v
         if y2 > 0.0:
             if is_a2b:
                 v = y2
@@ -263,7 +264,6 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                 a2 -= o2
                 lb2 += f2 * y2
             vol2 += v
-            fee2 += f2 * v
 
         # Arbitrage round trip in token-0; at most one direction can clear
         # the fee band.
@@ -285,10 +285,8 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                     a1 -= back
                     lb1 += f1 * mid
                     vol2 += v2_
-                    fee2 += f2 * v2_
                     arb_vol2 += v2_
                     vol1 += v1_
-                    fee1 += f1 * v1_
                     arb_vol1 += v1_
                     arb_count += 1
         else:
@@ -310,16 +308,13 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                         a2 -= back
                         lb2 += f2 * mid
                         vol1 += v1_
-                        fee1 += f1 * v1_
                         arb_vol1 += v1_
                         vol2 += v2_
-                        fee2 += f2 * v2_
                         arb_vol2 += v2_
                         arb_count += 1
 
     outcome = SimOutcome(
-        volume_1=vol1, volume_2=vol2, fees_1=fee1, fees_2=fee2,
-        arb_count=arb_count, rerouted_count=rerouted,
+        volume_1=vol1, volume_2=vol2, arb_count=arb_count, rerouted_count=rerouted,
         arb_volume_1=arb_vol1, arb_volume_2=arb_vol2,
     )
     return outcome, (a1, b1, la1, lb1), (a2, b2, la2, lb2)
@@ -332,7 +327,7 @@ def _replay_single(a, b, f, compiled, own_label):
     whose missing pool has zero tallies; nothing arbitrages against one pool.
     """
     g = 1.0 - f
-    vol = fee = 0.0
+    vol = 0.0
     rerouted = 0
     for is_a2b, amt, lab in compiled:
         if lab != 0 and lab != own_label:
@@ -348,11 +343,9 @@ def _replay_single(a, b, f, compiled, own_label):
             b += g * amt
             a -= out
         vol += v
-        fee += f * v
-    vol1, fee1, vol2, fee2 = (vol, fee, 0.0, 0.0) if own_label == 1 else (0.0, 0.0, vol, fee)
+    vol1, vol2 = (vol, 0.0) if own_label == 1 else (0.0, vol)
     return SimOutcome(
-        volume_1=vol1, volume_2=vol2, fees_1=fee1, fees_2=fee2,
-        arb_count=0, rerouted_count=rerouted,
+        volume_1=vol1, volume_2=vol2, arb_count=0, rerouted_count=rerouted,
         arb_volume_1=0.0, arb_volume_2=0.0,
     )
 
@@ -440,8 +433,7 @@ class _CellTable:
         deviation_threshold: float,
     ) -> None:
         """Validate the inputs and the trace's scale, then label."""
-        if L_total <= 0.0:
-            raise ValueError("L_total must be positive")
+        check_L_total(L_total)
         check_step("liquidity_step", liquidity_step)
         check_deviation_threshold(deviation_threshold)
         if params.f <= 0.0:
@@ -595,8 +587,12 @@ def _search(
     A generator: before each read it yields the cell indices it reads next,
     (1, m-1) first, then (m,), (0,) or one bisection midpoint at a time, and
     it returns the EquilibriumResult.  _solve fills the cells it asks for.
+    Its converter, cell, is where a replay's volumes become fees: pool i
+    earns f * volume_i, so r_i = (1-t_i) * f * volume_i / L_i and
+    rev1 = t1 * volume_1 / V with V the trace volume.
     """
     L_total = table.L_total
+    f = table.f
     one_minus_t1 = 1.0 - params.t1
     one_minus_t2 = 1.0 - params.t2
     one_plus_d = 1.0 + params.d
@@ -611,9 +607,9 @@ def _search(
             l1=l1,
             v1=o.volume_1 - o.arb_volume_1,
             v2=o.volume_2 - o.arb_volume_2,
-            r1=one_minus_t1 * o.fees_1 / L1 if L1 > 0.0 else None,
-            r2=one_minus_t2 * o.fees_2 / L2 if L2 > 0.0 else None,
-            rev1=params.t1 * o.fees_1 / (table.total_volume * params.f),
+            r1=one_minus_t1 * (f * o.volume_1) / L1 if L1 > 0.0 else None,
+            r2=one_minus_t2 * (f * o.volume_2) / L2 if L2 > 0.0 else None,
+            rev1=params.t1 * o.volume_1 / table.total_volume,
         )
 
     def interior(i: int) -> tuple[float, EquilibriumResult]:
@@ -641,13 +637,9 @@ def _search(
         else:
             high_i = mid
 
-    best_i = min(evaluated, key=lambda i: (abs(evaluated[i][0]), -i))
     # ties within 1e-12 go to the larger share
-    best_abs = abs(evaluated[best_i][0])
-    for i, (res, _) in evaluated.items():
-        if i > best_i and abs(res) <= best_abs + 1e-12:
-            best_i = i
-
+    best_abs = min(abs(res) for res, _ in evaluated.values())
+    best_i = max(i for i, (res, _) in evaluated.items() if abs(res) <= best_abs + 1e-12)
     return evaluated[best_i][1]
 
 
@@ -709,11 +701,12 @@ def sweep_take_rate(
     """Equilibrium and revenue for every take rate on a grid over [0, 1].
 
     params.t1 is ignored; each grid value is substituted in turn.  Revenue is
-    normalized as t1 * fees_1 / (V * f) with V the total trace volume.  The
-    trace is labelled once and every take rate searches the same cell table,
-    so each sample equals find_equilibrium at that take rate and seed.  The
-    searches advance in lockstep; on two or more cores each round forks a
-    child that replays half of the round's new cells (see _CellTable).
+    normalized as t1 * volume_1 / V with V the total trace volume, which is
+    t1 times pool 1's fees f * volume_1 over V * f.  The trace is labelled
+    once and every take rate searches the same cell table, so each sample
+    equals find_equilibrium at that take rate and seed.  The searches
+    advance in lockstep; on two or more cores each round forks a child that
+    replays half of the round's new cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)

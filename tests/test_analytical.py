@@ -114,6 +114,15 @@ class TestLpRoi:
             with pytest.raises(DegeneratePoolError):
                 lp_roi(params, l1, 1000.0)
 
+    @pytest.mark.parametrize(
+        "L_total, problem", [(math.nan, "finite"), (math.inf, "finite"), (0.0, "positive")]
+    )
+    def test_L_total_must_be_finite_and_positive(self, L_total, problem):
+        # NaN and inf used to run: inf gave r1 = r2 = 0.0
+        params = ModelParams(t1=0.2, t2=0.0, s1=0.1)
+        with pytest.raises(ValueError, match=f"L_total must be {problem}, got {L_total}"):
+            lp_roi(params, 0.4, L_total)
+
 
 class TestEquilibriumShare:
     def test_full_symmetry(self):
@@ -446,6 +455,17 @@ class TestEquilibriumCurve:
         monkeypatch.setattr(ModelParams, "__post_init__", counting)
         equilibrium_curve(params, self.L_TOTAL, take_rate_grid(0.01))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "L_total, problem", [(math.nan, "finite"), (math.inf, "finite"), (-1.0, "positive")]
+    )
+    def test_L_total_must_be_finite_and_positive(self, L_total, problem):
+        # NaN used to run: solve_equilibrium returned r1 = r2 = nan
+        params = ModelParams(t1=0.2, t2=0.0, s1=0.1)
+        with pytest.raises(ValueError, match=f"L_total must be {problem}, got {L_total}"):
+            equilibrium_curve(params, L_total, [0.1, 0.2])
+        with pytest.raises(ValueError, match=f"L_total must be {problem}, got {L_total}"):
+            solve_equilibrium(params, L_total)
 
     @pytest.mark.parametrize("t1", [-0.1, 1.5, math.nan])
     def test_take_rate_outside_unit_interval_rejected(self, t1):

@@ -4,7 +4,9 @@
 SHA-256 of every file they write must equal the digest recorded in
 ``golden_outputs.json``.  A refactor that changes any output byte fails here,
 naming the config and the file.  After a deliberate output change, re-record
-the digests with ``PYTHONPATH=src python tests/test_golden.py``.
+the digests with ``PYTHONPATH=src python tests/test_golden.py``, which prints
+one line per digest it changes (config, command, file: old -> new) and
+nothing else.
 """
 
 import hashlib
@@ -49,13 +51,23 @@ def test_outputs_match_golden_digests(config, command, tmp_path):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {}
     for config in CONFIGS:
         record[config.name] = {}
         for command in sorted(COMMANDS):
-            with tempfile.TemporaryDirectory() as tmp:
+            # the CLI's own summary lines would bury the changes
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
                 record[config.name][command] = digests(config, command, Path(tmp))
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    for name in sorted(old.keys() | record.keys()):
+        for command in sorted(COMMANDS):
+            before = old.get(name, {}).get(command, {})
+            after = record.get(name, {}).get(command, {})
+            for file in sorted(before.keys() | after.keys()):
+                if before.get(file) != after.get(file):
+                    print(f"{name} {command} {file}: {before.get(file)} -> {after.get(file)}")
