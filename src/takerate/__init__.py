@@ -45,8 +45,10 @@ from .data_io import (
 from .simulation import (
     SimOutcome,
     SweepCurve,
+    Trace,
     TraceScaleError,
     TradeEvent,
+    as_trace,
     assign_sticky,
     find_equilibrium,
     replay_trades,
@@ -68,10 +70,12 @@ __all__ = [
     "SimOutcome",
     "SweepCurve",
     "SyntheticSpec",
+    "Trace",
     "TraceFormatError",
     "TraceScaleError",
     "TradeEvent",
     "arbitrage",
+    "as_trace",
     "assign_sticky",
     "equilibrium_curve",
     "equilibrium_share",

@@ -1,9 +1,10 @@
 """Trade-trace files, synthetic trace generation and scenario configuration.
 
 Traces are two-column CSV files with the exact header ``direction,amount_in``,
-directions ``a2b``/``b2a`` and positive decimal amounts.  Scenarios are flat
-text files of ``key = value`` lines with ``#`` comments; unknown keys are
-rejected so typos surface immediately.
+directions ``a2b``/``b2a`` and positive decimal amounts; in memory they are
+simulation.Trace columns.  Scenarios are flat text files of ``key = value``
+lines with ``#`` comments; unknown keys are rejected so typos surface
+immediately.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import csv
 import math
 import random
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .analytical import ModelParams, check_L_total, check_step
-from .simulation import TradeEvent, check_deviation_threshold
+from .simulation import Trace, TradeEvent, check_deviation_threshold, check_trade
 
 
 class TraceFormatError(ValueError):
@@ -104,12 +106,13 @@ class ScenarioConfig:
             object.__setattr__(self, "synthetic", SyntheticSpec(seed=self.seed))
 
 
-def load_trades(path: Union[str, Path]) -> list[TradeEvent]:
+def load_trades(path: Union[str, Path]) -> Trace:
     """Read a trace CSV, validating every row; row numbers count the header."""
     path = Path(path)
-    trades: list[TradeEvent] = []
+    a2b = bytearray()
+    amounts = array("d")
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _rows(path, csv.reader(handle))
         try:
             header = next(reader)
         except StopIteration:
@@ -133,12 +136,26 @@ def load_trades(path: Union[str, Path]) -> list[TradeEvent]:
                     f"{path}: line {lineno}: amount_in is not a number: {raw_amount!r}"
                 ) from None
             try:
-                trades.append(TradeEvent(direction, amount))
+                check_trade(direction, amount)
             except ValueError as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not trades:
+            a2b.append(direction == "a2b")
+            amounts.append(amount)
+    if not amounts:
         warnings.warn(f"trace file {path} contains no trades")
-    return trades
+    return Trace(bytes(a2b), amounts)
+
+
+def _rows(path: Path, reader) -> Iterator[list[str]]:
+    """The reader's rows; a csv.Error, which is no ValueError, becomes a TraceFormatError.
+
+    The csv module raises one for a field over csv.field_size_limit(), for
+    instance.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def save_trades(path: Union[str, Path], trades: Sequence[TradeEvent]) -> None:
@@ -151,22 +168,22 @@ def save_trades(path: Union[str, Path], trades: Sequence[TradeEvent]) -> None:
             writer.writerow([ev.direction, repr(ev.amount_in)])
 
 
-def generate_trades(spec: SyntheticSpec) -> list[TradeEvent]:
+def generate_trades(spec: SyntheticSpec) -> Trace:
     """Draw a synthetic trace; identical specs give identical traces."""
     rng = random.Random(spec.seed)
-    trades = []
+    a2b = bytearray()
+    amounts = array("d")
     try:
         for _ in range(spec.n_trades):
-            direction = "a2b" if rng.random() < spec.direction_bias else "b2a"
-            amount = rng.lognormvariate(spec.size_mu, spec.size_sigma)
-            trades.append(TradeEvent(direction, amount))
+            a2b.append(rng.random() < spec.direction_bias)
+            amounts.append(rng.lognormvariate(spec.size_mu, spec.size_sigma))
+        return Trace(bytes(a2b), amounts)
     except (OverflowError, ValueError):
-        # exp() overflowed, or TradeEvent rejected a size of inf or 0.0
+        # exp() overflowed, or Trace's check_trade rejected a size of inf or 0.0
         raise ValueError(
             f"size_mu = {spec.size_mu} with size_sigma = {spec.size_sigma} draws "
             "trade sizes outside the positive finite float range"
         ) from None
-    return trades
 
 
 _FLOAT_KEYS = {
@@ -245,7 +262,7 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def resolve_trades(config: ScenarioConfig, base_dir: Union[str, Path, None] = None) -> list[TradeEvent]:
+def resolve_trades(config: ScenarioConfig, base_dir: Union[str, Path, None] = None) -> Trace:
     """Produce the trace a config describes: generated or loaded from disk.
 
     Relative trace paths resolve against base_dir (the config file's

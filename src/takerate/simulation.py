@@ -34,6 +34,9 @@ the replays tally volumes only and _search derives the fees.  Pools are
 constructed balanced at a marginal price of 1 (reserve_a = reserve_b = L_i),
 so trace amounts of either asset are size-comparable.  Everything is
 deterministic given the seed.
+
+A trace is held as a Trace, two flat columns of 9 bytes per trade; the
+entry points take any sequence of TradeEvents and convert it once.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import math
 import os
 import random
 import sys
+from array import array
 from dataclasses import astuple, dataclass, replace
-from typing import BinaryIO, Generator, Iterable, Optional, Sequence
+from typing import BinaryIO, Generator, Iterable, Iterator, Optional, Sequence, Union
 
 from .analytical import (
     EquilibriumResult,
@@ -90,10 +94,69 @@ class TradeEvent:
     amount_in: float
 
     def __post_init__(self) -> None:
-        if self.direction not in ("a2b", "b2a"):
-            raise ValueError(f"unknown direction: {self.direction!r}")
-        if not (self.amount_in > 0.0 and math.isfinite(self.amount_in)):
-            raise ValueError(f"amount_in must be finite and positive, got {self.amount_in}")
+        check_trade(self.direction, self.amount_in)
+
+
+def check_trade(direction: str, amount_in: float) -> None:
+    """Raise ValueError unless direction is a2b or b2a and amount_in is finite and positive."""
+    if direction not in ("a2b", "b2a"):
+        raise ValueError(f"unknown direction: {direction!r}")
+    if not (amount_in > 0.0 and math.isfinite(amount_in)):
+        raise ValueError(f"amount_in must be finite and positive, got {amount_in}")
+
+
+class Trace(Sequence[TradeEvent]):
+    """A trade trace held as two flat columns: 9 bytes per trade.
+
+    a2b holds one byte per trade, 1 for a2b and 0 for b2a, and amounts holds
+    each amount_in as a C double.  Indexing builds a TradeEvent, slicing
+    gives a Trace, and a Trace equals a list of the same TradeEvents.
+    """
+
+    __slots__ = ("a2b", "amounts")
+
+    def __init__(self, a2b: bytes, amounts: array) -> None:
+        """Take the two columns, checking every trade with check_trade."""
+        if len(a2b) != len(amounts):
+            raise ValueError(f"a2b has {len(a2b)} entries for {len(amounts)} amounts")
+        if a2b.translate(None, b"\x00\x01"):
+            raise ValueError("a2b must hold 1 (a2b) or 0 (b2a) for each trade")
+        for is_a2b, amount in zip(a2b, amounts):
+            check_trade("a2b" if is_a2b else "b2a", amount)
+        self.a2b = a2b
+        self.amounts = amounts
+
+    def __len__(self) -> int:
+        return len(self.amounts)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[TradeEvent, Trace]:
+        if isinstance(index, slice):
+            return Trace(self.a2b[index], self.amounts[index])
+        return TradeEvent("a2b" if self.a2b[index] else "b2a", self.amounts[index])
+
+    def __iter__(self) -> Iterator[TradeEvent]:
+        for is_a2b, amount in zip(self.a2b, self.amounts):
+            yield TradeEvent("a2b" if is_a2b else "b2a", amount)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            return self.a2b == other.a2b and self.amounts == other.amounts
+        if isinstance(other, list):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return Trace, (self.a2b, self.amounts)
+
+
+def as_trace(trades: Sequence[TradeEvent]) -> Trace:
+    """trades itself if it is a Trace, else a Trace of the same events."""
+    if isinstance(trades, Trace):
+        return trades
+    return Trace(
+        bytes(ev.direction == "a2b" for ev in trades),
+        array("d", [ev.amount_in for ev in trades]),
+    )
 
 
 @dataclass(frozen=True)
@@ -140,7 +203,8 @@ def assign_sticky(
     least prefix reaching a volume share of s1+s2 becomes sticky.  A seeded
     uniform shuffle of that prefix is then split by the same cumulative rule
     into a pool-1 part of volume share s1/(s1+s2) and a pool-2 remainder.
-    Deterministic for a given seed.
+    Deterministic for a given seed; with s1 = 0 or s2 = 0 the seed has no
+    effect.
     """
     if not trades:
         raise ValueError("trade list must not be empty")
@@ -149,7 +213,7 @@ def assign_sticky(
     if s1 + s2 == 0.0:
         return labels
 
-    amounts = [ev.amount_in for ev in trades]
+    amounts = as_trace(trades).amounts
     total = sum(amounts)
     # sorted() is stable, so trace order breaks ties between equal sizes
     by_size = sorted(range(len(amounts)), key=amounts.__getitem__)
@@ -161,6 +225,12 @@ def assign_sticky(
             break
         sticky.append(i)
         sticky_volume += amounts[i]
+    if s2 == 0.0:
+        # all of it is pool 1's: no draw, so the seed has no effect, and no
+        # rounding in a shuffled running sum can hand a trade to pool 2
+        for i in sticky:
+            labels[i] = 1
+        return labels
 
     shuffled = sticky[:]
     random.Random(seed).shuffle(shuffled)
@@ -181,9 +251,13 @@ def check_deviation_threshold(value: float) -> None:
         raise ValueError(f"deviation_threshold must be finite and nonnegative, got {value}")
 
 
-def _compile(trades: Sequence[TradeEvent], labels: Sequence[int]) -> list[tuple[bool, float, int]]:
-    """Pack trades and their labels into (is_a2b, amount, label) replay tuples."""
-    return [(ev.direction == "a2b", ev.amount_in, lab) for ev, lab in zip(trades, labels)]
+def _compile(trace: Trace, labels: Sequence[int]) -> list[tuple[bool, float, int]]:
+    """Pack a trace and its labels into (is_a2b, amount, label) replay tuples.
+
+    is_a2b is a bool, not the column's byte: the kernels test it up to three
+    times per trade, and the interpreter tests True and False fastest.
+    """
+    return list(zip(map(bool, trace.a2b), trace.amounts, labels))
 
 
 def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
@@ -364,8 +438,9 @@ def replay_trades(
     pools raises TraceScaleError before any trade is replayed.
     """
     check_deviation_threshold(deviation_threshold)
-    if len(labels) != len(trades):
-        raise ValueError(f"labels has {len(labels)} entries for {len(trades)} trades")
+    trace = as_trace(trades)
+    if len(labels) != len(trace):
+        raise ValueError(f"labels has {len(labels)} entries for {len(trace)} trades")
     if any(lab not in (0, 1, 2) for lab in labels):
         raise ValueError("labels must be 0 (routed), 1 or 2 (loyal to that pool)")
     for p in (pool1, pool2):
@@ -378,15 +453,15 @@ def replay_trades(
         raise ValueError("pools must start balanced to a common marginal price")
     a1, b1, a2, b2 = pool1.reserve_a, pool1.reserve_b, pool2.reserve_a, pool2.reserve_b
     _check_scale(
-        max((ev.amount_in for ev in trades), default=0.0),
-        sum(ev.amount_in for ev in trades),
+        max(trace.amounts, default=0.0),
+        sum(trace.amounts),
         max(a1 + a2, b1 + b2),
         math.sqrt(min(a1 * b1, a2 * b2)),
         "the pools' combined reserves",
     )
 
     outcome, end1, end2 = _replay_two(
-        a1, b1, pool1.fee, a2, b2, pool2.fee, _compile(trades, labels), deviation_threshold
+        a1, b1, pool1.fee, a2, b2, pool2.fee, _compile(trace, labels), deviation_threshold
     )
     return outcome, _end_state(pool1, *end1), _end_state(pool2, *end2)
 
@@ -443,14 +518,15 @@ class _CellTable:
         self.L_total = L_total
         self.f = params.f
         self.threshold = deviation_threshold
-        self.total_volume = sum(ev.amount_in for ev in trades)
+        trace = as_trace(trades)
+        self.total_volume = sum(trace.amounts)
         # the smallest pool: pool 1 at cell 1 or pool 2 at cell m-1
         L_min = min(self.shares[1], 1.0 - self.shares[-2]) * L_total
-        largest = max((ev.amount_in for ev in trades), default=0.0)
+        largest = max(trace.amounts, default=0.0)
         _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
         self.replays = 0  # replays run, here or in a child
         self._cells: dict[int, SimOutcome] = {}
-        self.compiled = _compile(trades, assign_sticky(trades, params.s1, params.s2, seed))
+        self.compiled = _compile(trace, assign_sticky(trace, params.s1, params.s2, seed))
 
     def cell(self, i: int) -> SimOutcome:
         """The replay outcome at index i, replayed on first use."""

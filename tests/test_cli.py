@@ -277,6 +277,16 @@ class TestErrors:
         assert err.startswith("error: ") and "size_mu" in err and "L_total" in err
         assert not out.exists()
 
+    def test_oversized_trace_field(self, tmp_path, capsys):
+        # csv's field limit raises csv.Error, which used to escape as a traceback
+        (tmp_path / "big.csv").write_text("direction,amount_in\nb2a," + "1" * 200_000 + "\n")
+        cfg_path = write_cfg(tmp_path, "t2 = 0.0\ns1 = 0.1\nf = 0.003\nL_total = 1e5\ntrace = big.csv\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'big.csv'}: line 2: field larger than field limit")
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Trace file, synthetic generator and config parsing tests."""
 
+import csv
 import math
+import pickle
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -16,7 +19,7 @@ from takerate.data_io import (
     resolve_trades,
     save_trades,
 )
-from takerate.simulation import TradeEvent
+from takerate.simulation import Trace, TradeEvent
 
 
 class TestLoadTrades:
@@ -62,6 +65,74 @@ class TestLoadTrades:
         p = tmp_path / "rt.csv"
         save_trades(p, trades)
         assert load_trades(p) == trades
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # csv's field limit raises csv.Error, which is no ValueError
+        p = tmp_path / "big.csv"
+        p.write_text("direction,amount_in\na2b,1\nb2a," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(TraceFormatError, match=r"big\.csv: line 3: field larger than field limit"):
+            load_trades(p)
+
+    @pytest.mark.parametrize(
+        "direction, amount", [("sideways", "2"), ("a2b", "-1"), ("b2a", "inf"), ("a2b", "nan")]
+    )
+    def test_row_errors_are_trade_event_errors(self, tmp_path, direction, amount):
+        # one rule, check_trade, behind TradeEvent and every row of a file
+        with pytest.raises(ValueError) as event:
+            TradeEvent(direction, float(amount))
+        p = tmp_path / "bad.csv"
+        p.write_text(f"direction,amount_in\na2b,1\n{direction},{amount}\n")
+        with pytest.raises(TraceFormatError) as row:
+            load_trades(p)
+        assert str(row.value) == f"{p}: line 3: {event.value}"
+
+
+class TestTrace:
+    """load_trades and generate_trades hold a trace as two flat columns."""
+
+    def test_columns_hold_nine_bytes_per_trade(self, tmp_path):
+        generated = generate_trades(SyntheticSpec(n_trades=1000, seed=3))
+        p = tmp_path / "t.csv"
+        save_trades(p, generated)
+        for trace in (generated, load_trades(p)):
+            assert isinstance(trace, Trace) and len(trace) == 1000
+            assert isinstance(trace.a2b, bytes) and trace.amounts.typecode == "d"
+            assert len(trace.a2b) + trace.amounts.itemsize * len(trace.amounts) <= 9 * 1000
+
+    def test_a_sequence_of_trade_events(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("direction,amount_in\na2b,10\nb2a,5\na2b,0.25\n")
+        trace = load_trades(p)
+        events = [TradeEvent("a2b", 10.0), TradeEvent("b2a", 5.0), TradeEvent("a2b", 0.25)]
+        assert trace.a2b == b"\x01\x00\x01" and list(trace.amounts) == [10.0, 5.0, 0.25]
+        assert trace == events and events == trace and list(trace) == events
+        assert (trace[0], trace[1], trace[-1]) == (events[0], events[1], events[-1])
+        with pytest.raises(IndexError):
+            trace[3]
+        assert isinstance(trace[1:], Trace) and trace[1:] == events[1:]
+        assert trace[::-2] == events[::-2] and trace[3:] == []
+        assert trace.index(events[2]) == 2 and events[1] in trace
+        assert trace != events[:2] and trace != events[:2] + [TradeEvent("b2a", 0.25)]
+        assert trace != tuple(events)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert isinstance(copy, Trace) and copy == trace and copy.a2b == trace.a2b
+
+    @pytest.mark.parametrize(
+        "a2b, amounts, message",
+        [(b"\x02", [1.0], "a2b must hold 1"), (b"\x01\x00", [1.0], "a2b has 2 entries for 1"),
+         (b"\x00", [-1.0], "amount_in must be finite and positive, got -1.0"),
+         (b"\x01\x00", [1.0, math.nan], "amount_in must be finite and positive, got nan")],
+    )
+    def test_constructor_checks_every_trade(self, a2b, amounts, message):
+        # built by hand, a Trace holds no trade that a TradeEvent would refuse
+        with pytest.raises(ValueError, match=message):
+            Trace(a2b, array("d", amounts))
+
+    def test_save_writes_the_loaded_bytes_back(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_trades(a, generate_trades(SyntheticSpec(n_trades=500, seed=9)))
+        save_trades(b, load_trades(a))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestGenerateTrades:

@@ -13,16 +13,18 @@ import random
 import signal
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from takerate import simulation
 from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue, take_rate_grid
 from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
-from takerate.data_io import ConfigError, ScenarioConfig
+from takerate.data_io import ConfigError, ScenarioConfig, SyntheticSpec, generate_trades
 from takerate.simulation import (
     SimOutcome,
     SweepCurve,
+    Trace,
     TradeEvent,
     TraceScaleError,
     assign_sticky,
@@ -84,6 +86,25 @@ class TestAssignSticky:
         sticky_sizes = [ev.amount_in for ev, lab in zip(trades, labels) if lab]
         loose_sizes = [ev.amount_in for ev, lab in zip(trades, labels) if not lab]
         assert max(sticky_sizes) <= min(loose_sizes)
+
+    @pytest.mark.parametrize("s1, s2", [(0.1, 0.0), (0.3, 0.0), (0.0, 0.2)])
+    def test_seed_has_no_effect_with_one_loyal_pool(self, s1, s2):
+        trades = lognormal_trace(2000, 10.0)
+        first = assign_sticky(trades, s1, s2, seed=1)
+        assert set(first) == {0, 1 if s2 == 0.0 else 2}
+        assert all(assign_sticky(trades, s1, s2, seed=k) == first for k in (2, 3, 4))
+
+    def test_seed_splits_the_loyal_trades_between_two_pools(self):
+        trades = lognormal_trace(2000, 10.0)
+        assert assign_sticky(trades, 0.1, 0.1, seed=1) != assign_sticky(trades, 0.1, 0.1, seed=2)
+
+    def test_no_pool2_label_without_pool2_loyalty(self):
+        # once a shuffle put the 1e17 trade first, the running sum already
+        # equalled the sticky volume, since the 1s are below its rounding,
+        # and the trades after it went to pool 2
+        trades = [TradeEvent("a2b", 1.0)] * 3 + [TradeEvent("b2a", 1e17)]
+        for seed in range(6):
+            assert assign_sticky(trades, 0.5, 0.0, seed) == [1, 1, 1, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -339,7 +360,7 @@ class TestReplayAgainstCpmm:
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
         labels = [rng.choice([0, 0, 1, 2]) for _ in trades]
         L = 2e4
-        compiled = simulation._compile(trades, labels)
+        compiled = simulation._compile(simulation.as_trace(trades), labels)
         out = simulation._replay_single(L, L, fee, compiled, own_label=own_label)
 
         # every trade executes in the one pool; a token-1 leg and its fee
@@ -412,6 +433,19 @@ class TestFindEquilibrium:
             best = max(i for i, r in res.items() if abs(r) <= least + 1e-12)
         rev1 = params.t1 * table.cell(best).volume_1 / table.total_volume
         return table.shares[best], rev1
+
+    def test_trace_and_event_list_give_equal_results(self):
+        trace = generate_trades(SyntheticSpec(n_trades=600, size_mu=math.log(30.0), seed=2))
+        events = list(trace)
+        assert isinstance(trace, Trace) and not isinstance(events, Trace)
+        params = ModelParams(t1=0.15, t2=0.05, s1=0.1, s2=0.05, d=0.0, f=0.003)
+        assert assign_sticky(trace, 0.1, 0.05, 4) == assign_sticky(events, 0.1, 0.05, 4)
+        assert find_equilibrium(params, trace, 1e6, 0.02, seed=4) == find_equilibrium(
+            params, events, 1e6, 0.02, seed=4
+        )
+        assert sweep_take_rate(params, trace, 1e6, 0.1, 0.05, seed=4) == sweep_take_rate(
+            params, events, 1e6, 0.1, 0.05, seed=4
+        )
 
     def test_bracketing_matches_full_scan(self):
         trades = lognormal_trace(600, 30.0)
@@ -504,6 +538,46 @@ class TestFindEquilibrium:
         assert 0.0 < eq.l1 < 1.0
         traced = sum(ev.amount_in for ev in trades)
         assert eq.v1 + eq.v2 == pytest.approx(traced, rel=1e-9)
+
+
+class TestSearchTieRule:
+    """_search's last step: residuals within 1e-12 of the least go to the larger share."""
+
+    @staticmethod
+    def search(gap):
+        """The cells read and the result, over a stub table of five cells.
+
+        With L_total = f = 1 and t1 = t2 = d = 0 the residual is
+        volume_1/L1 - volume_2/L2: +1 at share 1/4, +2 at 1/2 and -(1 + gap)
+        at 3/4, all exact but for gap's rounding.
+        """
+        shares = [0.0, 0.25, 0.5, 0.75, 1.0]
+        rates = {1: (2.0, 1.0), 2: (3.0, 1.0), 3: (1.0, 2.0 + gap)}
+        cells = {
+            i: SimOutcome(r1 * shares[i], r2 * (1.0 - shares[i]), 0, 0, 0.0, 0.0)
+            for i, (r1, r2) in rates.items()
+        }
+        table = SimpleNamespace(L_total=1.0, f=1.0, shares=shares, m=4, total_volume=1.0,
+                                cell=cells.__getitem__)
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, d=0.0, f=0.003)
+        search = simulation._search(params, table)
+        reads = []
+        try:
+            while True:
+                reads.append(next(search))
+        except StopIteration as done:
+            return reads, done.value
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-13])
+    def test_tie_goes_to_the_larger_share(self, gap):
+        reads, result = self.search(gap)
+        assert reads == [(1, 3), (2,)]
+        assert (result.l1, result.r1, result.r2) == (0.75, 1.0, 2.0 + gap)
+
+    def test_a_gap_beyond_the_tolerance_is_no_tie(self):
+        reads, result = self.search(1e-9)
+        assert reads == [(1, 3), (2,)]
+        assert (result.l1, result.r1, result.r2) == (0.25, 2.0, 1.0)
 
 
 class TestSweepTakeRate:
