@@ -47,8 +47,6 @@ from .simulation import (
     SweepCurve,
     Trace,
     TraceScaleError,
-    TradeEvent,
-    as_trace,
     assign_sticky,
     find_equilibrium,
     replay_trades,
@@ -73,9 +71,7 @@ __all__ = [
     "Trace",
     "TraceFormatError",
     "TraceScaleError",
-    "TradeEvent",
     "arbitrage",
-    "as_trace",
     "assign_sticky",
     "equilibrium_curve",
     "equilibrium_share",

@@ -16,10 +16,10 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from .analytical import ModelParams, check_L_total, check_step
-from .simulation import Trace, TradeEvent, check_deviation_threshold, check_trade
+from .simulation import Trace, check_deviation_threshold, check_trade
 
 
 class TraceFormatError(ValueError):
@@ -107,28 +107,31 @@ class ScenarioConfig:
 
 
 def load_trades(path: Union[str, Path]) -> Trace:
-    """Read a trace CSV, validating every row; row numbers count the header."""
+    """Read a trace CSV, validating every row; a row's errors name the file line it ends on."""
     path = Path(path)
     a2b = bytearray()
     amounts = array("d")
     with path.open(newline="") as handle:
-        reader = _rows(path, csv.reader(handle))
+        parser = csv.reader(handle)
+        reader = _rows(path, parser)
         try:
             header = next(reader)
         except StopIteration:
             raise TraceFormatError(f"{path}: empty file, expected header "
                                    f"{','.join(TRACE_HEADER)}") from None
-        if [h.strip() for h in header] != TRACE_HEADER:
+        # spaces and tabs pad a field; a quoted line break is part of it
+        if [h.strip(" \t") for h in header] != TRACE_HEADER:
             raise TraceFormatError(
-                f"{path}: line 1: expected header {','.join(TRACE_HEADER)}, "
+                f"{path}: line {parser.line_num}: expected header {','.join(TRACE_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = parser.line_num
             if not row:
                 continue
             if len(row) != 2:
                 raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            direction, raw_amount = row[0].strip(), row[1].strip()
+            direction, raw_amount = row[0].strip(" \t"), row[1].strip()
             try:
                 amount = float(raw_amount)
             except ValueError:
@@ -158,14 +161,14 @@ def _rows(path: Path, reader) -> Iterator[list[str]]:
         raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def save_trades(path: Union[str, Path], trades: Sequence[TradeEvent]) -> None:
-    """Write a trace CSV that load_trades reads back bit-identically."""
+def save_trades(path: Union[str, Path], trace: Trace) -> None:
+    """Write a trace's columns as a CSV that load_trades reads back bit-identically."""
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_HEADER)
-        for ev in trades:
-            writer.writerow([ev.direction, repr(ev.amount_in)])
+        for is_a2b, amount in zip(trace.a2b, trace.amounts):
+            writer.writerow(["a2b" if is_a2b else "b2a", repr(amount)])
 
 
 def generate_trades(spec: SyntheticSpec) -> Trace:

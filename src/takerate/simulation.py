@@ -35,8 +35,8 @@ constructed balanced at a marginal price of 1 (reserve_a = reserve_b = L_i),
 so trace amounts of either asset are size-comparable.  Everything is
 deterministic given the seed.
 
-A trace is held as a Trace, two flat columns of 9 bytes per trade; the
-entry points take any sequence of TradeEvents and convert it once.
+A trace is a Trace, two flat columns of 9 bytes per trade; every entry
+point takes one and reads its columns.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import random
 import sys
 from array import array
 from dataclasses import astuple, dataclass, replace
-from typing import BinaryIO, Generator, Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Generator, Iterable, Optional, Sequence
 
 from .analytical import (
     EquilibriumResult,
@@ -59,7 +59,7 @@ from .analytical import (
     take_rate_grid,
     unit_grid,
 )
-from .cpmm import Direction, PoolState
+from .cpmm import PoolState
 
 # Arbitrage in the replay executes only when it clears this fraction of the
 # combined token-0 reserves, which keeps float-noise round trips out.
@@ -81,22 +81,6 @@ class TraceScaleError(ValueError):
     """Trade sizes and pool sizes put a replay outside the float range."""
 
 
-@dataclass(frozen=True, slots=True)
-class TradeEvent:
-    """One trade of a trace: direction and input amount.
-
-    amount_in is denominated in the input asset of the trade.  Loyalty is not
-    a property of the trade: assign_sticky derives it from the trace, and the
-    labels travel beside the trades into replay_trades.
-    """
-
-    direction: Direction
-    amount_in: float
-
-    def __post_init__(self) -> None:
-        check_trade(self.direction, self.amount_in)
-
-
 def check_trade(direction: str, amount_in: float) -> None:
     """Raise ValueError unless direction is a2b or b2a and amount_in is finite and positive."""
     if direction not in ("a2b", "b2a"):
@@ -105,58 +89,36 @@ def check_trade(direction: str, amount_in: float) -> None:
         raise ValueError(f"amount_in must be finite and positive, got {amount_in}")
 
 
-class Trace(Sequence[TradeEvent]):
+@dataclass(frozen=True, slots=True)
+class Trace:
     """A trade trace held as two flat columns: 9 bytes per trade.
 
     a2b holds one byte per trade, 1 for a2b and 0 for b2a, and amounts holds
-    each amount_in as a C double.  Indexing builds a TradeEvent, slicing
-    gives a Trace, and a Trace equals a list of the same TradeEvents.
+    each trade's amount_in, in its input asset, as a C double.  Loyalty is
+    not part of a trace: assign_sticky's labels travel beside it.
     """
 
-    __slots__ = ("a2b", "amounts")
+    a2b: bytes
+    amounts: array
 
-    def __init__(self, a2b: bytes, amounts: array) -> None:
-        """Take the two columns, checking every trade with check_trade."""
-        if len(a2b) != len(amounts):
-            raise ValueError(f"a2b has {len(a2b)} entries for {len(amounts)} amounts")
-        if a2b.translate(None, b"\x00\x01"):
+    def __post_init__(self) -> None:
+        if len(self.a2b) != len(self.amounts):
+            raise ValueError(f"a2b has {len(self.a2b)} entries for {len(self.amounts)} amounts")
+        if self.a2b.translate(None, b"\x00\x01"):
             raise ValueError("a2b must hold 1 (a2b) or 0 (b2a) for each trade")
-        for is_a2b, amount in zip(a2b, amounts):
+        for is_a2b, amount in zip(self.a2b, self.amounts):
             check_trade("a2b" if is_a2b else "b2a", amount)
-        self.a2b = a2b
-        self.amounts = amounts
 
     def __len__(self) -> int:
         return len(self.amounts)
 
-    def __getitem__(self, index: Union[int, slice]) -> Union[TradeEvent, Trace]:
-        if isinstance(index, slice):
-            return Trace(self.a2b[index], self.amounts[index])
-        return TradeEvent("a2b" if self.a2b[index] else "b2a", self.amounts[index])
 
-    def __iter__(self) -> Iterator[TradeEvent]:
-        for is_a2b, amount in zip(self.a2b, self.amounts):
-            yield TradeEvent("a2b" if is_a2b else "b2a", amount)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Trace):
-            return self.a2b == other.a2b and self.amounts == other.amounts
-        if isinstance(other, list):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __reduce__(self):
-        return Trace, (self.a2b, self.amounts)
-
-
-def as_trace(trades: Sequence[TradeEvent]) -> Trace:
-    """trades itself if it is a Trace, else a Trace of the same events."""
-    if isinstance(trades, Trace):
-        return trades
-    return Trace(
-        bytes(ev.direction == "a2b" for ev in trades),
-        array("d", [ev.amount_in for ev in trades]),
-    )
+def _volume(amounts: array) -> float:
+    """The trace volume, summed left to right: from Python 3.12 on, sum() rounds differently."""
+    total = 0.0
+    for amount in amounts:
+        total += amount
+    return total
 
 
 @dataclass(frozen=True)
@@ -193,9 +155,7 @@ class SweepCurve:
         return best
 
 
-def assign_sticky(
-    trades: Sequence[TradeEvent], s1: float, s2: float, seed: int = 0
-) -> list[int]:
+def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int]:
     """Label the smallest trades as loyal until volume shares s1 and s2 are met.
 
     Returns one label per trade: 0 for routed, 1 or 2 for loyal to that pool.
@@ -206,15 +166,15 @@ def assign_sticky(
     Deterministic for a given seed; with s1 = 0 or s2 = 0 the seed has no
     effect.
     """
-    if not trades:
-        raise ValueError("trade list must not be empty")
+    if not trace:
+        raise ValueError("trace must not be empty")
     check_sticky_rates(s1, s2)
-    labels = [0] * len(trades)
+    labels = [0] * len(trace)
     if s1 + s2 == 0.0:
         return labels
 
-    amounts = as_trace(trades).amounts
-    total = sum(amounts)
+    amounts = trace.amounts
+    total = _volume(amounts)
     # sorted() is stable, so trace order breaks ties between equal sizes
     by_size = sorted(range(len(amounts)), key=amounts.__getitem__)
     target_all = (s1 + s2) * total
@@ -427,7 +387,7 @@ def _replay_single(a, b, f, compiled, own_label):
 def replay_trades(
     pool1: PoolState,
     pool2: PoolState,
-    trades: Sequence[TradeEvent],
+    trace: Trace,
     labels: Sequence[int],
     deviation_threshold: float = 0.1,
 ) -> tuple[SimOutcome, PoolState, PoolState]:
@@ -438,7 +398,6 @@ def replay_trades(
     pools raises TraceScaleError before any trade is replayed.
     """
     check_deviation_threshold(deviation_threshold)
-    trace = as_trace(trades)
     if len(labels) != len(trace):
         raise ValueError(f"labels has {len(labels)} entries for {len(trace)} trades")
     if any(lab not in (0, 1, 2) for lab in labels):
@@ -454,7 +413,7 @@ def replay_trades(
     a1, b1, a2, b2 = pool1.reserve_a, pool1.reserve_b, pool2.reserve_a, pool2.reserve_b
     _check_scale(
         max(trace.amounts, default=0.0),
-        sum(trace.amounts),
+        _volume(trace.amounts),
         max(a1 + a2, b1 + b2),
         math.sqrt(min(a1 * b1, a2 * b2)),
         "the pools' combined reserves",
@@ -501,7 +460,7 @@ class _CellTable:
     def __init__(
         self,
         params: ModelParams,
-        trades: Sequence[TradeEvent],
+        trace: Trace,
         L_total: float,
         liquidity_step: float,
         seed: int,
@@ -518,8 +477,7 @@ class _CellTable:
         self.L_total = L_total
         self.f = params.f
         self.threshold = deviation_threshold
-        trace = as_trace(trades)
-        self.total_volume = sum(trace.amounts)
+        self.total_volume = _volume(trace.amounts)
         # the smallest pool: pool 1 at cell 1 or pool 2 at cell m-1
         L_min = min(self.shares[1], 1.0 - self.shares[-2]) * L_total
         largest = max(trace.amounts, default=0.0)
@@ -741,7 +699,7 @@ def _solve(searches: list, table: _CellTable) -> list[EquilibriumResult]:
 
 def find_equilibrium(
     params: ModelParams,
-    trades: Sequence[TradeEvent],
+    trace: Trace,
     L_total: float,
     liquidity_step: float = 0.005,
     *,
@@ -760,13 +718,13 @@ def find_equilibrium(
     instead of evaluating every cell.  One search asks for two cells at most,
     so it never forks and runs in this process alone.
     """
-    table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
+    table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
     return _solve([_search(params, table)], table)[0]
 
 
 def sweep_take_rate(
     params: ModelParams,
-    trades: Sequence[TradeEvent],
+    trace: Trace,
     L_total: float,
     take_step: float = 0.01,
     liquidity_step: float = 0.005,
@@ -785,6 +743,6 @@ def sweep_take_rate(
     replays half of the round's new cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
-    table = _CellTable(params, trades, L_total, liquidity_step, seed, deviation_threshold)
+    table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
     samples = _solve([_search(replace(params, t1=t1), table) for t1 in grid], table)
     return SweepCurve(samples=tuple(samples))

@@ -228,7 +228,7 @@ class TestGenTrace:
         std_total = math.sqrt(
             10_000 * (math.exp(sigma * sigma) - 1.0) * math.exp(2.0 * mu + sigma * sigma)
         )
-        total = sum(t.amount_in for t in trades)
+        total = sum(trades.amounts)
         assert abs(total - mean_total) <= 3.0 * std_total
 
     def test_defaults_are_synthetic_spec_defaults(self, tmp_path):

@@ -26,7 +26,8 @@ from takerate.analytical import (
     take_rate_grid,
 )
 from takerate.data_io import load_trades, save_trades
-from takerate.simulation import TradeEvent, assign_sticky
+from takerate.simulation import assign_sticky
+from traces import trace_of
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -34,7 +35,13 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 positive_amounts = st.floats(
     min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False
 )
-trade_events = st.builds(TradeEvent, st.sampled_from(["a2b", "b2a"]), positive_amounts)
+
+
+def traces(amounts, min_size, max_size):
+    """Traces of min_size to max_size trades of the given sizes."""
+    trade = st.tuples(st.sampled_from(["a2b", "b2a"]), amounts)
+    trades = st.lists(trade, min_size=min_size, max_size=max_size)
+    return trades.map(lambda pairs: trace_of(*pairs))
 
 
 @st.composite
@@ -53,12 +60,12 @@ def model_params(draw):
 
 
 @PROPERTY
-@given(st.lists(trade_events, min_size=1, max_size=20))
-def test_trace_round_trips_through_csv(trades):
+@given(traces(positive_amounts, min_size=1, max_size=20))
+def test_trace_round_trips_through_csv(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        save_trades(path, trades)
-        assert load_trades(path) == trades
+        save_trades(path, trace)
+        assert load_trades(path) == trace
 
 
 @PROPERTY
@@ -133,23 +140,22 @@ def test_optimal_take_rate_equals_per_point_reference(params):
 
 # repeated sizes exercise the size-order tie break
 trade_sizes = st.one_of(st.sampled_from([1.0, 2.0, 5.0]), st.floats(min_value=0.01, max_value=1e4))
-sized_events = st.builds(TradeEvent, st.sampled_from(["a2b", "b2a"]), trade_sizes)
 
 
 @PROPERTY
 @given(
-    st.lists(sized_events, min_size=1, max_size=40),
+    traces(trade_sizes, min_size=1, max_size=40),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=2**32),
 )
-@example([TradeEvent("a2b", 3.0), TradeEvent("b2a", 3.0)], 0.0, 0.0, 0)  # s1 + s2 = 0
-def test_loyal_trades_are_a_prefix_by_size_then_trace_order(trades, s1, s2, seed):
+@example(trace_of(("a2b", 3.0), ("b2a", 3.0)), 0.0, 0.0, 0)  # s1 + s2 = 0
+def test_loyal_trades_are_a_prefix_by_size_then_trace_order(trace, s1, s2, seed):
     assume(s1 + s2 <= 1.0)
-    labels = assign_sticky(trades, s1, s2, seed)
-    assert len(labels) == len(trades) and set(labels) <= {0, 1, 2}
+    labels = assign_sticky(trace, s1, s2, seed)
+    assert len(labels) == len(trace) and set(labels) <= {0, 1, 2}
     if s1 + s2 == 0.0:
-        assert labels == [0] * len(trades)
-    by_size = sorted(range(len(trades)), key=lambda i: (trades[i].amount_in, i))
+        assert labels == [0] * len(trace)
+    by_size = sorted(range(len(trace)), key=lambda i: (trace.amounts[i], i))
     loyal = {i for i, lab in enumerate(labels) if lab}
     assert loyal == set(by_size[: len(loyal)])

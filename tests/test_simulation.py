@@ -8,10 +8,10 @@ arbitrage, determinism, volume conservation) are checked directly.
 import marshal
 import math
 import os
-import pickle
 import random
 import signal
 import threading
+from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,29 +20,28 @@ import pytest
 from takerate import simulation
 from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue, take_rate_grid
 from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
-from takerate.data_io import ConfigError, ScenarioConfig, SyntheticSpec, generate_trades
+from takerate.data_io import ConfigError, ScenarioConfig
 from takerate.simulation import (
     SimOutcome,
     SweepCurve,
     Trace,
-    TradeEvent,
     TraceScaleError,
     assign_sticky,
     find_equilibrium,
     replay_trades,
     sweep_take_rate,
 )
+from traces import trace_of
 
 
 def lognormal_trace(n, median, sigma=1.0, bias=0.5, seed=123):
     rng = random.Random(seed)
-    return [
-        TradeEvent(
-            "a2b" if rng.random() < bias else "b2a",
-            rng.lognormvariate(math.log(median), sigma),
-        )
-        for _ in range(n)
-    ]
+    a2b = bytearray()
+    amounts = array("d")
+    for _ in range(n):
+        a2b.append(rng.random() < bias)
+        amounts.append(rng.lognormvariate(math.log(median), sigma))
+    return Trace(bytes(a2b), amounts)
 
 
 class TestAssignSticky:
@@ -58,19 +57,19 @@ class TestAssignSticky:
 
     def test_smallest_prefix_rule_by_hand(self):
         # sizes {1,2,3,4,90}: the smallest four reach 10% of the volume 100
-        trades = [TradeEvent("a2b", x) for x in (90.0, 3.0, 1.0, 4.0, 2.0)]
+        trades = trace_of(*[("a2b", x) for x in (90.0, 3.0, 1.0, 4.0, 2.0)])
         labels = assign_sticky(trades, 0.1, 0.0, seed=5)
         assert labels == [0, 1, 1, 1, 1]
 
     def test_pool1_share_splits_sticky_volume(self):
         trades = lognormal_trace(2000, 10.0)
         labels = assign_sticky(trades, 0.1, 0.05, seed=7)
-        total = sum(ev.amount_in for ev in trades)
-        vol1 = sum(ev.amount_in for ev, lab in zip(trades, labels) if lab == 1)
-        vol2 = sum(ev.amount_in for ev, lab in zip(trades, labels) if lab == 2)
+        total = sum(trades.amounts)
+        vol1 = sum(a for a, lab in zip(trades.amounts, labels) if lab == 1)
+        vol2 = sum(a for a, lab in zip(trades.amounts, labels) if lab == 2)
         assert (vol1 + vol2) / total == pytest.approx(0.15, abs=0.01)
         # discretization slack: one labeled trade at most
-        w = max(ev.amount_in for ev, lab in zip(trades, labels) if lab) / total
+        w = max(a for a, lab in zip(trades.amounts, labels) if lab) / total
         assert abs(vol1 / total - 0.1) <= w + 1e-12
         assert abs(vol2 / total - 0.05) <= w + 1e-12
 
@@ -83,8 +82,8 @@ class TestAssignSticky:
     def test_only_smallest_trades_labeled(self):
         trades = lognormal_trace(1000, 10.0)
         labels = assign_sticky(trades, 0.1, 0.1, seed=13)
-        sticky_sizes = [ev.amount_in for ev, lab in zip(trades, labels) if lab]
-        loose_sizes = [ev.amount_in for ev, lab in zip(trades, labels) if not lab]
+        sticky_sizes = [a for a, lab in zip(trades.amounts, labels) if lab]
+        loose_sizes = [a for a, lab in zip(trades.amounts, labels) if not lab]
         assert max(sticky_sizes) <= min(loose_sizes)
 
     @pytest.mark.parametrize("s1, s2", [(0.1, 0.0), (0.3, 0.0), (0.0, 0.2)])
@@ -102,15 +101,15 @@ class TestAssignSticky:
         # once a shuffle put the 1e17 trade first, the running sum already
         # equalled the sticky volume, since the 1s are below its rounding,
         # and the trades after it went to pool 2
-        trades = [TradeEvent("a2b", 1.0)] * 3 + [TradeEvent("b2a", 1e17)]
+        trades = trace_of(("a2b", 1.0), ("a2b", 1.0), ("a2b", 1.0), ("b2a", 1e17))
         for seed in range(6):
             assert assign_sticky(trades, 0.5, 0.0, seed) == [1, 1, 1, 1]
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="trace must not be empty"):
+            assign_sticky(trace_of(), 0.1, 0.0)
         with pytest.raises(ValueError):
-            assign_sticky([], 0.1, 0.0)
-        with pytest.raises(ValueError):
-            assign_sticky([TradeEvent("a2b", 1.0)], 0.7, 0.4)
+            assign_sticky(trace_of(("a2b", 1.0)), 0.7, 0.4)
 
     @pytest.mark.parametrize("s1, s2", [(math.nan, 0.0), (0.0, math.nan), (0.1, math.nan)])
     def test_nan_rate_rejected(self, s1, s2):
@@ -130,30 +129,26 @@ class TestAssignSticky:
         assert str(labeller.value) == str(model.value)
 
 
-class TestTradeEvent:
-    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_non_finite_or_nonpositive_amount(self, amount):
-        with pytest.raises(ValueError, match="amount_in must be finite and positive"):
-            TradeEvent("a2b", amount)
+class TestVolume:
+    def test_sums_left_to_right(self):
+        # compensated summation, as sum() does from Python 3.12 on, gives 1e16 + 2
+        assert simulation._volume(array("d", [1e16, 1.0, 1.0])) == 1e16
 
-    def test_slotted_event_pickles_and_replaces(self):
-        ev = TradeEvent("b2a", 12.5)
-        assert not hasattr(ev, "__dict__")
-        assert pickle.loads(pickle.dumps(ev)) == ev
-        assert replace(ev, amount_in=3.0) == TradeEvent("b2a", 3.0)
-        with pytest.raises(ValueError, match="amount_in"):
-            replace(ev, amount_in=-1.0)
+    def test_every_reader_of_the_volume_sums_left_to_right(self):
+        trace = trace_of(("a2b", 1e16), ("b2a", 1.0), ("a2b", 1.0))
+        params = ModelParams(t1=0.1, t2=0.0, s1=0.1, f=0.003)
+        assert simulation._CellTable(params, trace, 1e14, 0.5, 0, 0.1).total_volume == 1e16
 
 
 class TestSimulateTrades:
     def test_zero_trades_zero_outcome(self):
         pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
-        out = replay_trades(*pools, [], [])[0]
+        out = replay_trades(*pools, trace_of(), [])[0]
         assert out == SimOutcome(0.0, 0.0, 0, 0, 0.0, 0.0)
 
     def test_single_trade_splits_evenly_across_equal_pools(self):
         pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
-        out = replay_trades(*pools, [TradeEvent("a2b", 50.0)], [0])[0]
+        out = replay_trades(*pools, trace_of(("a2b", 50.0)), [0])[0]
         assert out.volume_1 == pytest.approx(25.0, rel=1e-9)
         assert out.volume_2 == pytest.approx(25.0, rel=1e-9)
         assert out.arb_count == 0
@@ -162,7 +157,7 @@ class TestSimulateTrades:
         # a loyal trade large enough to push pool 1 past the fee band
         pool1 = PoolState(1000.0, 1000.0, fee=0.003)
         pool2 = PoolState(1000.0, 1000.0, fee=0.003)
-        out, final1, final2 = replay_trades(pool1, pool2, [TradeEvent("a2b", 100.0)], [1])
+        out, final1, final2 = replay_trades(pool1, pool2, trace_of(("a2b", 100.0)), [1])
         assert out.rerouted_count == 0
         assert out.arb_count == 1
         # afterwards the prices sit inside the no-arbitrage band
@@ -175,7 +170,7 @@ class TestSimulateTrades:
         # pool 1 is tiny: executing there alone is >10% worse than routing
         pool1 = PoolState(100.0, 100.0, fee=0.003)
         pool2 = PoolState(10000.0, 10000.0, fee=0.003)
-        out = replay_trades(pool1, pool2, [TradeEvent("a2b", 60.0)], [1])[0]
+        out = replay_trades(pool1, pool2, trace_of(("a2b", 60.0)), [1])[0]
         assert out.rerouted_count == 1
         # the trade was split, so pool 2 got most of it
         assert out.volume_2 > out.volume_1
@@ -184,7 +179,7 @@ class TestSimulateTrades:
         # small enough to stay inside the fee band: no reroute, no arbitrage
         pool1 = PoolState(1000.0, 1000.0, fee=0.003)
         pool2 = PoolState(1000.0, 1000.0, fee=0.003)
-        out = replay_trades(pool1, pool2, [TradeEvent("a2b", 2.0)], [1])[0]
+        out = replay_trades(pool1, pool2, trace_of(("a2b", 2.0)), [1])[0]
         assert out.rerouted_count == 0
         assert out.arb_count == 0
         assert out.volume_1 == pytest.approx(2.0, rel=1e-12)
@@ -200,15 +195,14 @@ class TestSimulateTrades:
         # token-0 only trades need no price conversion: executed non-arbitrage
         # volume equals trace volume exactly
         rng = random.Random(31)
-        trades = [TradeEvent("a2b", rng.uniform(1.0, 500.0)) for _ in range(500)]
-        trades += [TradeEvent("a2b", 40.0) for _ in range(100)]
+        amounts = [rng.uniform(1.0, 500.0) for _ in range(500)] + [40.0] * 100
+        trades = Trace(bytes([1] * 600), array("d", amounts))
         labels = [0] * 500 + [1] * 100
         out = replay_trades(
             PoolState(1e5, 1e5, fee=0.003), PoolState(1e5, 1e5, fee=0.003), trades, labels
         )[0]
         executed = out.volume_1 + out.volume_2 - out.arb_volume_1 - out.arb_volume_2
-        traced = sum(ev.amount_in for ev in trades)
-        assert executed == pytest.approx(traced, rel=1e-9)
+        assert executed == pytest.approx(sum(amounts), rel=1e-9)
 
     def test_volume_conservation_mixed_trace(self):
         trades = lognormal_trace(2000, 30.0)
@@ -217,14 +211,14 @@ class TestSimulateTrades:
             PoolState(1e6, 1e6, fee=0.003), PoolState(1e6, 1e6, fee=0.003), trades, labels
         )[0]
         executed = out.volume_1 + out.volume_2 - out.arb_volume_1 - out.arb_volume_2
-        traced = sum(ev.amount_in for ev in trades)
+        traced = sum(trades.amounts)
         # token-1 legs convert at drifting prices, so only near equality holds
         assert executed == pytest.approx(traced, rel=5e-3)
 
     def test_unbalanced_pools_rejected(self):
         with pytest.raises(ValueError):
             replay_trades(
-                PoolState(100.0, 100.0), PoolState(100.0, 150.0), [TradeEvent("a2b", 1.0)], [0]
+                PoolState(100.0, 100.0), PoolState(100.0, 150.0), trace_of(("a2b", 1.0)), [0]
             )[0]
 
     def test_no_arbitrage_left_after_each_trade(self):
@@ -250,7 +244,7 @@ class TestSimulateTrades:
     @pytest.mark.parametrize("labels", [[0], [0, 0, 0]])
     def test_labels_must_match_trades_one_to_one(self, labels):
         pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
-        trades = [TradeEvent("a2b", 5.0), TradeEvent("b2a", 5.0)]
+        trades = trace_of(("a2b", 5.0), ("b2a", 5.0))
         with pytest.raises(ValueError, match="labels"):
             replay_trades(*pools, trades, labels)
 
@@ -258,28 +252,28 @@ class TestSimulateTrades:
     def test_label_outside_range_rejected(self, label):
         pools = PoolState(1000.0, 1000.0, fee=0.003), PoolState(1000.0, 1000.0, fee=0.003)
         with pytest.raises(ValueError, match="labels"):
-            replay_trades(*pools, [TradeEvent("a2b", 5.0)], [label])
+            replay_trades(*pools, trace_of(("a2b", 5.0)), [label])
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.5])
     def test_deviation_threshold_must_be_finite_and_nonnegative(self, threshold):
         # NaN and inf used to disable rerouting silently
         pools = PoolState(100.0, 100.0, fee=0.003), PoolState(1e4, 1e4, fee=0.003)
         with pytest.raises(ValueError, match="deviation_threshold must be finite and nonnegative"):
-            replay_trades(*pools, [TradeEvent("a2b", 60.0)], [1], deviation_threshold=threshold)
+            replay_trades(*pools, trace_of(("a2b", 60.0)), [1], deviation_threshold=threshold)
 
     def test_out_of_scale_trace_rejected(self):
         # one trace ended in a math domain error, the other returned a pool
         # whose token-1 reserve had rounded to 0.0
         small = PoolState(1e3, 1e3)
-        big_round_trip = [TradeEvent("a2b", 1e22), TradeEvent("b2a", 1e22), TradeEvent("a2b", 5.0)]
+        big_round_trip = trace_of(("a2b", 1e22), ("b2a", 1e22), ("a2b", 5.0))
         with pytest.raises(TraceScaleError, match="reserves"):
             replay_trades(small, small, big_round_trip, [0, 0, 0])
         with_fee = PoolState(1e3, 1e3, fee=0.003)
         with pytest.raises(TraceScaleError, match="reserves"):
-            replay_trades(with_fee, with_fee, [TradeEvent("a2b", 1e200)], [0])
+            replay_trades(with_fee, with_fee, trace_of(("a2b", 1e200)), [0])
 
 
-def reference_step(pool1, pool2, trade, label, threshold):
+def reference_step(pool1, pool2, direction, amount_in, label, threshold):
     """One trade of the replay composed from cpmm: route, execute, arbitrage.
 
     Routing follows the convex formulation of Angeris et al., "Optimal
@@ -290,22 +284,22 @@ def reference_step(pool1, pool2, trade, label, threshold):
     the new pools and the tallies of SimOutcome for this one trade.
     """
     pools = [pool1, pool2]
-    split = optimal_split(pools, trade.amount_in, trade.direction)
+    split = optimal_split(pools, amount_in, direction)
     amounts = split.amounts
     rerouted = 0
     if label:
-        direct = quote(pools[label - 1], trade.amount_in, trade.direction)
+        direct = quote(pools[label - 1], amount_in, direction)
         if split.total_out - direct > threshold * split.total_out:
             rerouted = 1
         else:
-            amounts = (trade.amount_in, 0.0) if label == 1 else (0.0, trade.amount_in)
+            amounts = (amount_in, 0.0) if label == 1 else (0.0, amount_in)
 
     volume = [0.0, 0.0]
     for i, x in enumerate(amounts):
         if x > 0.0:
             pool = pools[i]
-            volume[i] += x if trade.direction == "a2b" else x * pool.reserve_a / pool.reserve_b
-            pools[i] = execute_swap(pool, x, trade.direction)[1]
+            volume[i] += x if direction == "a2b" else x * pool.reserve_a / pool.reserve_b
+            pools[i] = execute_swap(pool, x, direction)[1]
 
     arb_volume = [0.0, 0.0]
     arb = arbitrage(*pools)
@@ -333,14 +327,15 @@ class TestReplayAgainstCpmm:
     def test_each_trade_matches_reference_step(self, fees):
         rng = random.Random(2204)
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
-        labels = [rng.choice([0, 0, 1, 2]) for _ in trades]
+        labels = [rng.choice([0, 0, 1, 2]) for _ in range(len(trades))]
         # pool 1 is small enough that its loyal trades above ~600 reroute
         pool1 = PoolState(5e3, 5e3, fee=fees[0])
         pool2 = PoolState(2e4, 2e4, fee=fees[1])
         tallies = [0, 0]
-        for trade, label in zip(trades, labels):
-            out, new1, new2 = replay_trades(pool1, pool2, [trade], [label])
-            ref, ref1, ref2 = reference_step(pool1, pool2, trade, label, 0.1)
+        for is_a2b, amount, label in zip(trades.a2b, trades.amounts, labels):
+            direction = "a2b" if is_a2b else "b2a"
+            out, new1, new2 = replay_trades(pool1, pool2, trace_of((direction, amount)), [label])
+            ref, ref1, ref2 = reference_step(pool1, pool2, direction, amount, label, 0.1)
             assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
             for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):
                 assert getattr(out, field) == pytest.approx(getattr(ref, field), rel=1e-9), field
@@ -358,20 +353,20 @@ class TestReplayAgainstCpmm:
     def test_single_pool_replay_matches_swap_chain(self, own_label, fee):
         rng = random.Random(2204)
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
-        labels = [rng.choice([0, 0, 1, 2]) for _ in trades]
+        labels = [rng.choice([0, 0, 1, 2]) for _ in range(len(trades))]
         L = 2e4
-        compiled = simulation._compile(simulation.as_trace(trades), labels)
+        compiled = simulation._compile(trades, labels)
         out = simulation._replay_single(L, L, fee, compiled, own_label=own_label)
 
         # every trade executes in the one pool; a token-1 leg and its fee
         # convert to token-0 at the pre-trade price
         pool = PoolState(L, L, fee=fee)
         volume = fees = 0.0
-        for trade in trades:
+        for is_a2b, amount in zip(trades.a2b, trades.amounts):
             price = pool.reserve_a / pool.reserve_b
             before = pool.fee_ledger_a + pool.fee_ledger_b * price
-            volume += trade.amount_in if trade.direction == "a2b" else trade.amount_in * price
-            pool = execute_swap(pool, trade.amount_in, trade.direction)[1]
+            volume += amount if is_a2b else amount * price
+            pool = execute_swap(pool, amount, "a2b" if is_a2b else "b2a")[1]
             fees += pool.fee_ledger_a + pool.fee_ledger_b * price - before
         rerouted = sum(1 for lab in labels if lab not in (0, own_label))
 
@@ -386,7 +381,7 @@ class TestReplayAgainstCpmm:
 
 class TestFindEquilibrium:
     def test_symmetric_scenario_splits_evenly(self):
-        trades = [TradeEvent("a2b" if i % 2 == 0 else "b2a", 10.0) for i in range(2000)]
+        trades = Trace(bytes([1, 0] * 1000), array("d", [10.0] * 2000))
         params = ModelParams(t1=0.1, t2=0.1, s1=0.4, s2=0.4, d=0.0, f=0.003)
         eq = find_equilibrium(params, trades, 1e6, seed=3)
         assert eq.l1 == pytest.approx(0.5, abs=1e-12)
@@ -434,19 +429,6 @@ class TestFindEquilibrium:
         rev1 = params.t1 * table.cell(best).volume_1 / table.total_volume
         return table.shares[best], rev1
 
-    def test_trace_and_event_list_give_equal_results(self):
-        trace = generate_trades(SyntheticSpec(n_trades=600, size_mu=math.log(30.0), seed=2))
-        events = list(trace)
-        assert isinstance(trace, Trace) and not isinstance(events, Trace)
-        params = ModelParams(t1=0.15, t2=0.05, s1=0.1, s2=0.05, d=0.0, f=0.003)
-        assert assign_sticky(trace, 0.1, 0.05, 4) == assign_sticky(events, 0.1, 0.05, 4)
-        assert find_equilibrium(params, trace, 1e6, 0.02, seed=4) == find_equilibrium(
-            params, events, 1e6, 0.02, seed=4
-        )
-        assert sweep_take_rate(params, trace, 1e6, 0.1, 0.05, seed=4) == sweep_take_rate(
-            params, events, 1e6, 0.1, 0.05, seed=4
-        )
-
     def test_bracketing_matches_full_scan(self):
         trades = lognormal_trace(600, 30.0)
         # three interior equilibria, then full migration to pool 1 and to pool 2
@@ -485,7 +467,7 @@ class TestFindEquilibrium:
         params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
         # a trade that rounds a 5,000-unit pool away, and one past float range
         for amounts in ([1e20, 30.0], [1e300, 1e300]):
-            trades = [TradeEvent("a2b", a) for a in amounts]
+            trades = trace_of(*[("a2b", a) for a in amounts])
             with pytest.raises(TraceScaleError, match="L_total"):
                 find_equilibrium(params, trades, 1e6)
 
@@ -532,11 +514,11 @@ class TestFindEquilibrium:
         # token-0-only trades avoid price conversion: the equilibrium result's
         # per-pool volumes (arbitrage excluded) add up to the trace volume
         rng = random.Random(53)
-        trades = [TradeEvent("a2b", rng.uniform(1.0, 200.0)) for _ in range(1500)]
+        trades = trace_of(*[("a2b", rng.uniform(1.0, 200.0)) for _ in range(1500)])
         params = ModelParams(t1=0.2, t2=0.0, s1=0.1, s2=0.0, d=0.0, f=0.003)
         eq = find_equilibrium(params, trades, 1e6)
         assert 0.0 < eq.l1 < 1.0
-        traced = sum(ev.amount_in for ev in trades)
+        traced = sum(trades.amounts)
         assert eq.v1 + eq.v2 == pytest.approx(traced, rel=1e-9)
 
 
