@@ -102,7 +102,9 @@ def quote(pool: PoolState, amount_in: float, direction: Direction) -> float:
     if amount_in == 0:
         return 0.0
     res_in, res_out = pool.oriented(direction)
-    return res_out - res_in * res_out / (res_in + (1.0 - pool.fee) * amount_in)
+    # out(x) in the form that stays positive however small x is
+    g = 1.0 - pool.fee
+    return res_out * g * amount_in / (res_in + g * amount_in)
 
 
 def execute_swap(
@@ -183,7 +185,10 @@ def optimal_split(
             total_shift = sum(shift[i] for i in active)
             total_weight = sum(weight[i] for i in active)
             scale = (total_shift + trade) / total_weight
-            sol = {i: weight[i] * scale - shift[i] for i in active}
+            sol = {i: weight[i] * scale - shift[i] for i in active[:-1]}
+            # the last active pool takes what the others leave, so the
+            # amounts sum to the trade, not to a rounding of it
+            sol[active[-1]] = trade - sum(sol.values())
             negative = [i for i in active if sol[i] < 0.0]
             if not negative:
                 for i in active:

@@ -146,7 +146,8 @@ def load_trades(path: Union[str, Path]) -> Trace:
             amounts.append(amount)
     if not amounts:
         warnings.warn(f"trace file {path} contains no trades")
-    return Trace(bytes(a2b), amounts)
+    # every row passed check_trade above
+    return Trace._of_checked(bytes(a2b), amounts)
 
 
 def _rows(path: Path, reader) -> Iterator[list[str]]:

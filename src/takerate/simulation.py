@@ -6,10 +6,17 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    as loyal to pool 1 or pool 2 until their volume reaches the sticky rates.
    The rule works on trade sizes alone and returns one label per trade
    (0 routed, 1 or 2 loyal); labels live beside the trace, never in it.
-2. replay_trades replays a trace with its labels: loyal trades execute in
-   their pool unless the outcome is badly worse than optimal routing,
-   everything else is split optimally, and after every trade the profitable
-   arbitrage round trip, if any, is executed.
+2. A replay runs a trace with its labels: loyal trades execute in their
+   pool unless the outcome is badly worse than optimal routing, everything
+   else is split optimally, and after every trade the profitable arbitrage
+   round trip, if any, is executed.  replay_trades is the readable
+   reference, composed from cpmm one trade at a time.  The search replays
+   through two private kernels that inline the same math: _replay_two for
+   two pools, _replay_single for one.  _replay_two solves no split for a
+   loyal trade that cannot reroute: CPMM output is concave, so no split
+   yields more than the trade times the better marginal rate, and a direct
+   quote of at least (1 - threshold + 1e-9) times that bound stays, the
+   1e-9 covering float rounding.  The tests hold both kernels to cpmm.
 3. find_equilibrium scans a discrete grid of liquidity splits for the point
    where r1*(1+d) = r2, capturing full migration to either pool at the grid
    edges.  The replay outcomes it reads come from a cell table keyed by grid
@@ -59,11 +66,17 @@ from .analytical import (
     take_rate_grid,
     unit_grid,
 )
-from .cpmm import PoolState
+from .cpmm import A2B, B2A, PoolState, arbitrage, execute_swap, optimal_split, quote
 
 # Arbitrage in the replay executes only when it clears this fraction of the
 # combined token-0 reserves, which keeps float-noise round trips out.
 _MIN_PROFIT_SCALE = 1e-12
+
+# _replay_two skips the split of a loyal trade whose direct quote clears the
+# reroute bound by this margin, relative to amt times the better marginal
+# rate.  It dwarfs the few float roundings in the split's output, the marginal
+# rates and the reroute test, whatever the threshold.
+_SKIP_MARGIN = 1e-9
 
 # Every reserve of a replay stays within [lo, hi]: hi is the larger of the
 # two assets' combined reserves (L_total on the liquidity grid) plus the whole
@@ -111,6 +124,17 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.amounts)
+
+    @classmethod
+    def _of_checked(cls, a2b: bytes, amounts: array) -> Trace:
+        """A Trace of equal-length columns whose every trade has passed check_trade.
+
+        It skips __post_init__, which would check each trade a second time.
+        """
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "a2b", a2b)
+        object.__setattr__(trace, "amounts", amounts)
+        return trace
 
 
 def _volume(amounts: array) -> float:
@@ -214,8 +238,10 @@ def check_deviation_threshold(value: float) -> None:
 def _compile(trace: Trace, labels: Sequence[int]) -> list[tuple[bool, float, int]]:
     """Pack a trace and its labels into (is_a2b, amount, label) replay tuples.
 
-    is_a2b is a bool, not the column's byte: the kernels test it up to three
-    times per trade, and the interpreter tests True and False fastest.
+    is_a2b is a bool, not the column's byte: _replay_two tests it twice per
+    trade and _replay_single once, and the interpreter tests True and False
+    fastest.  The list is the kernels' only list argument, which is how
+    perfbench's tracer tells the trace from the cell's other arguments.
     """
     return list(zip(map(bool, trace.a2b), trace.amounts, labels))
 
@@ -223,15 +249,22 @@ def _compile(trace: Trace, labels: Sequence[int]) -> list[tuple[bool, float, int
 def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
     """Replay a compiled trace against two pools; the hot loop of the module.
 
-    Returns the SimOutcome and, for each pool, its final reserves and the
-    per-asset fee ledger increments: (outcome, (a1, b1, la1, lb1),
-    (a2, b2, la2, lb2)).  Only replay_trades reads the ledgers; the outcome
-    tallies volumes, and the fee revenue f * volume is derived in _search.
+    Returns the SimOutcome and each pool's final reserves: (outcome,
+    (a1, b1), (a2, b2)).  The outcome tallies volumes only; _search derives
+    the fee revenue f * volume.
+
+    A loyal trade reroutes when the optimal split's output beats its own
+    pool's direct quote by more than threshold times the split's output.
+    CPMM output is concave, so no split of amt yields more than amt * m,
+    where m is the better of the two pools' marginal rates g * out / in.  A
+    loyal trade whose direct quote reaches (1 - threshold + _SKIP_MARGIN) *
+    amt * m therefore cannot reroute: it executes in its own pool with no
+    split solved.  Any other loyal trade solves the split and compares.
     """
     sqrt = math.sqrt
     g1 = 1.0 - f1
     g2 = 1.0 - f2
-    la1 = lb1 = la2 = lb2 = 0.0
+    keep = 1.0 - threshold + _SKIP_MARGIN
     vol1 = vol2 = 0.0
     arb_vol1 = arb_vol2 = 0.0
     arb_count = rerouted = 0
@@ -243,61 +276,61 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
         else:
             in1, out1, in2, out2 = b1, a1, b2, a2
 
-        # Optimal two-pool split: equalize marginal rates, clamp a negative
-        # allocation to zero (the active-set step for n = 2).
-        w1 = sqrt(in1 * out1 / g1)
-        w2 = sqrt(in2 * out2 / g2)
-        scale = (in1 / g1 + in2 / g2 + amt) / (w1 + w2)
-        x1 = w1 * scale - in1 / g1
-        if x1 <= 0.0:
-            x1, x2 = 0.0, amt
-        else:
-            x2 = amt - x1
-            if x2 < 0.0:
-                x1, x2 = amt, 0.0
-        o1 = out1 * g1 * x1 / (in1 + g1 * x1) if x1 > 0.0 else 0.0
-        o2 = out2 * g2 * x2 / (in2 + g2 * x2) if x2 > 0.0 else 0.0
-
-        if lab == 0:
-            y1, y2 = x1, x2
-        else:
+        split = True
+        if lab:
             if lab == 1:
                 direct = out1 * g1 * amt / (in1 + g1 * amt)
             else:
                 direct = out2 * g2 * amt / (in2 + g2 * amt)
-            best = o1 + o2
-            if best - direct > threshold * best:
-                rerouted += 1
-                y1, y2 = x1, x2
-            elif lab == 1:
-                y1, y2, o1 = amt, 0.0, direct
+            m1 = g1 * out1 / in1
+            m2 = g2 * out2 / in2
+            split = direct < keep * amt * (m1 if m1 > m2 else m2)
+        if split:
+            # Optimal two-pool split: equalize marginal rates, clamp a
+            # negative allocation to zero (the active-set step for n = 2).
+            shift1 = in1 / g1
+            w1 = sqrt(in1 * out1 / g1)
+            w2 = sqrt(in2 * out2 / g2)
+            scale = (shift1 + in2 / g2 + amt) / (w1 + w2)
+            x1 = w1 * scale - shift1
+            if x1 <= 0.0:
+                x1, x2 = 0.0, amt
             else:
-                y1, y2, o2 = 0.0, amt, direct
+                x2 = amt - x1
+                if x2 < 0.0:
+                    x1, x2 = amt, 0.0
+            o1 = out1 * g1 * x1 / (in1 + g1 * x1) if x1 > 0.0 else 0.0
+            o2 = out2 * g2 * x2 / (in2 + g2 * x2) if x2 > 0.0 else 0.0
+            if lab:
+                best = o1 + o2
+                split = best - direct > threshold * best
+                if split:
+                    rerouted += 1
+        if split:
+            y1, y2 = x1, x2
+        elif lab == 1:
+            y1, y2, o1 = amt, 0.0, direct
+        else:
+            y1, y2, o2 = 0.0, amt, direct
 
-        if y1 > 0.0:
-            if is_a2b:
-                v = y1
+        if is_a2b:
+            if y1 > 0.0:
                 a1 += g1 * y1
                 b1 -= o1
-                la1 += f1 * y1
-            else:
-                v = y1 * a1 / b1
-                b1 += g1 * y1
-                a1 -= o1
-                lb1 += f1 * y1
-            vol1 += v
-        if y2 > 0.0:
-            if is_a2b:
-                v = y2
+                vol1 += y1
+            if y2 > 0.0:
                 a2 += g2 * y2
                 b2 -= o2
-                la2 += f2 * y2
-            else:
-                v = y2 * a2 / b2
+                vol2 += y2
+        else:
+            if y1 > 0.0:
+                vol1 += y1 * a1 / b1
+                b1 += g1 * y1
+                a1 -= o1
+            if y2 > 0.0:
+                vol2 += y2 * a2 / b2
                 b2 += g2 * y2
                 a2 -= o2
-                lb2 += f2 * y2
-            vol2 += v
 
         # Arbitrage round trip in token-0; at most one direction can clear
         # the fee band.
@@ -314,10 +347,8 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                     v1_ = mid * a1 / b1
                     a2 += g2 * x
                     b2 -= mid
-                    la2 += f2 * x
                     b1 += g1 * mid
                     a1 -= back
-                    lb1 += f1 * mid
                     vol2 += v2_
                     arb_vol2 += v2_
                     vol1 += v1_
@@ -337,10 +368,8 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                         v2_ = mid * a2 / b2
                         a1 += g1 * x
                         b1 -= mid
-                        la1 += f1 * x
                         b2 += g2 * mid
                         a2 -= back
-                        lb2 += f2 * mid
                         vol1 += v1_
                         arb_vol1 += v1_
                         vol2 += v2_
@@ -351,7 +380,7 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
         volume_1=vol1, volume_2=vol2, arb_count=arb_count, rerouted_count=rerouted,
         arb_volume_1=arb_vol1, arb_volume_2=arb_vol2,
     )
-    return outcome, (a1, b1, la1, lb1), (a2, b2, la2, lb2)
+    return outcome, (a1, b1), (a2, b2)
 
 
 def _replay_single(a, b, f, compiled, own_label):
@@ -391,11 +420,23 @@ def replay_trades(
     labels: Sequence[int],
     deviation_threshold: float = 0.1,
 ) -> tuple[SimOutcome, PoolState, PoolState]:
-    """Replay a trace and return the outcome plus final pool states.
+    """Replay a trace through cpmm, one trade at a time: the reference replay.
 
     labels holds one label per trade, as assign_sticky returns them: 0 for
-    routed, 1 or 2 for loyal to that pool.  A trace out of scale with the
-    pools raises TraceScaleError before any trade is replayed.
+    routed, 1 or 2 for loyal to that pool.  Each trade is routed by
+    cpmm.optimal_split, the convex formulation of Angeris et al., "Optimal
+    Routing for Constant Function Market Makers" (arXiv:2204.05238).  A loyal
+    trade executes in its own pool unless cpmm.quote there falls short of the
+    split's output by more than deviation_threshold times the latter; then
+    cpmm.arbitrage runs the profitable round trip, if any.  Volumes are
+    token-0: a token-1 leg converts at its pool's pre-trade price.  Returns
+    the outcome and the final pools, whose fee ledgers cpmm.execute_swap
+    kept.  A trace out of scale with the pools raises TraceScaleError before
+    any trade is replayed.
+
+    This is the slow, readable replay.  The search never calls it: it
+    replays through the inlined kernels _replay_two and _replay_single,
+    which the tests check against it.
     """
     check_deviation_threshold(deviation_threshold)
     if len(labels) != len(trace):
@@ -419,21 +460,43 @@ def replay_trades(
         "the pools' combined reserves",
     )
 
-    outcome, end1, end2 = _replay_two(
-        a1, b1, pool1.fee, a2, b2, pool2.fee, _compile(trace, labels), deviation_threshold
-    )
-    return outcome, _end_state(pool1, *end1), _end_state(pool2, *end2)
+    pools = [pool1, pool2]
+    volume = [0.0, 0.0]
+    arb_volume = [0.0, 0.0]
+    arb_count = rerouted = 0
+    for is_a2b, amount_in, label in zip(trace.a2b, trace.amounts, labels):
+        direction = A2B if is_a2b else B2A
+        split = optimal_split(pools, amount_in, direction)
+        amounts = split.amounts
+        if label:
+            direct = quote(pools[label - 1], amount_in, direction)
+            if split.total_out - direct > deviation_threshold * split.total_out:
+                rerouted += 1
+            else:
+                amounts = (amount_in, 0.0) if label == 1 else (0.0, amount_in)
+        for i, x in enumerate(amounts):
+            if x > 0.0:
+                pool = pools[i]
+                volume[i] += x if is_a2b else x * pool.reserve_a / pool.reserve_b
+                pools[i] = execute_swap(pool, x, direction)[1]
 
+        arb = arbitrage(*pools)
+        if arb is not None:
+            into, back = arb.pool_in - 1, 2 - arb.pool_in
+            legs = [0.0, 0.0]
+            legs[into] = arb.amount_in
+            legs[back] = arb.amount_mid * pools[back].reserve_a / pools[back].reserve_b
+            for i in (0, 1):
+                volume[i] += legs[i]
+                arb_volume[i] += legs[i]
+            arb_count += 1
+            pools = [arb.pool1, arb.pool2]
 
-def _end_state(pool: PoolState, a: float, b: float, la: float, lb: float) -> PoolState:
-    """The pool after a replay: final reserves, fee ledgers grown by la and lb."""
-    return replace(
-        pool,
-        reserve_a=a,
-        reserve_b=b,
-        fee_ledger_a=pool.fee_ledger_a + la,
-        fee_ledger_b=pool.fee_ledger_b + lb,
+    outcome = SimOutcome(
+        volume_1=volume[0], volume_2=volume[1], arb_count=arb_count, rerouted_count=rerouted,
+        arb_volume_1=arb_volume[0], arb_volume_2=arb_volume[1],
     )
+    return outcome, pools[0], pools[1]
 
 
 class _CellTable:

@@ -1,6 +1,7 @@
 """Property tests: trace files round-trip, closed-form outputs stay in range,
-the float-level scan equals its one-dataclass-per-point reference, and
-sticky labels follow the size-ordered prefix rule.
+the float-level scan equals its one-dataclass-per-point reference, sticky
+labels follow the size-ordered prefix rule, and the two-pool replay kernel
+makes the decisions of the cpmm-composed reference replay.
 
 Hypothesis runs derandomized with a small example budget, so the suite stays
 deterministic and fast; the strategies cover every value the validators
@@ -25,8 +26,10 @@ from takerate.analytical import (
     revenue_at,
     take_rate_grid,
 )
+from takerate import simulation
+from takerate.cpmm import PoolState
 from takerate.data_io import load_trades, save_trades
-from takerate.simulation import assign_sticky
+from takerate.simulation import assign_sticky, replay_trades
 from traces import trace_of
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -159,3 +162,38 @@ def test_loyal_trades_are_a_prefix_by_size_then_trace_order(trace, s1, s2, seed)
     by_size = sorted(range(len(trace)), key=lambda i: (trace.amounts[i], i))
     loyal = {i for i, lab in enumerate(labels) if lab}
     assert loyal == set(by_size[: len(loyal)])
+
+
+@st.composite
+def two_pool_replays(draw):
+    """Two balanced pools with unequal fees, pool 1 often tiny, and a labelled trace."""
+    L1 = draw(st.one_of(st.floats(min_value=1.0, max_value=100.0), st.floats(min_value=1.0, max_value=1e6)))
+    L2 = draw(st.floats(min_value=1.0, max_value=1e6))
+    fees = st.floats(min_value=0.0, max_value=0.05)
+    f1, f2 = draw(fees), draw(fees)
+    assume(f1 != f2)
+    # trades up to ten times the smaller pool keep the replay in float range
+    sizes = st.floats(min_value=1e-4 * min(L1, L2), max_value=10.0 * min(L1, L2))
+    trace = draw(traces(sizes, min_size=1, max_size=30))
+    labels = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=len(trace), max_size=len(trace)))
+    threshold = draw(st.sampled_from([0.0, 0.1, 1.0, 2.0]))
+    return PoolState(L1, L1, fee=f1), PoolState(L2, L2, fee=f2), trace, labels, threshold
+
+
+@PROPERTY
+@given(two_pool_replays())
+# a loyal trade into a tiny pool that reroutes
+@example(
+    (PoolState(100.0, 100.0, fee=0.003), PoolState(1e4, 1e4, fee=0.001),
+     trace_of(("a2b", 60.0), ("b2a", 5.0)), [1, 2], 0.1)
+)
+def test_two_pool_kernel_matches_the_reference_replay(replay):
+    pool1, pool2, trace, labels, threshold = replay
+    ref = replay_trades(pool1, pool2, trace, labels, threshold)[0]
+    out = simulation._replay_two(
+        pool1.reserve_a, pool1.reserve_b, pool1.fee, pool2.reserve_a, pool2.reserve_b, pool2.fee,
+        simulation._compile(trace, labels), threshold,
+    )[0]
+    assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
+    for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):
+        assert math.isclose(getattr(out, field), getattr(ref, field), rel_tol=1e-9), field

@@ -273,58 +273,29 @@ class TestSimulateTrades:
             replay_trades(with_fee, with_fee, trace_of(("a2b", 1e200)), [0])
 
 
-def reference_step(pool1, pool2, direction, amount_in, label, threshold):
-    """One trade of the replay composed from cpmm: route, execute, arbitrage.
+VOLUMES = ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2")
 
-    Routing follows the convex formulation of Angeris et al., "Optimal
-    Routing for CFMMs" (arXiv:2204.05238), solved by cpmm.optimal_split.  A
-    loyal trade reroutes when its own pool's output falls short of the
-    optimal route's by more than threshold times the latter.  Volumes are
-    token-0: a token-1 leg converts at its pool's pre-trade price.  Returns
-    the new pools and the tallies of SimOutcome for this one trade.
-    """
-    pools = [pool1, pool2]
-    split = optimal_split(pools, amount_in, direction)
-    amounts = split.amounts
-    rerouted = 0
-    if label:
-        direct = quote(pools[label - 1], amount_in, direction)
-        if split.total_out - direct > threshold * split.total_out:
-            rerouted = 1
-        else:
-            amounts = (amount_in, 0.0) if label == 1 else (0.0, amount_in)
 
-    volume = [0.0, 0.0]
-    for i, x in enumerate(amounts):
-        if x > 0.0:
-            pool = pools[i]
-            volume[i] += x if direction == "a2b" else x * pool.reserve_a / pool.reserve_b
-            pools[i] = execute_swap(pool, x, direction)[1]
-
-    arb_volume = [0.0, 0.0]
-    arb = arbitrage(*pools)
-    if arb is not None:
-        into, back = arb.pool_in - 1, 2 - arb.pool_in
-        arb_volume[into] = arb.amount_in
-        arb_volume[back] = arb.amount_mid * pools[back].reserve_a / pools[back].reserve_b
-        pools = [arb.pool1, arb.pool2]
-    volume = [v + a for v, a in zip(volume, arb_volume)]
-    outcome = SimOutcome(
-        volume_1=volume[0],
-        volume_2=volume[1],
-        arb_count=int(arb is not None),
-        rerouted_count=rerouted,
-        arb_volume_1=arb_volume[0],
-        arb_volume_2=arb_volume[1],
+def replay_two(pool1, pool2, trace, labels, threshold):
+    """The two-pool kernel from two pools: the outcome and the end reserves."""
+    outcome, end1, end2 = simulation._replay_two(
+        pool1.reserve_a, pool1.reserve_b, pool1.fee,
+        pool2.reserve_a, pool2.reserve_b, pool2.fee,
+        simulation._compile(trace, labels), threshold,
     )
-    return outcome, pools[0], pools[1]
+    return outcome, end1 + end2
 
 
 class TestReplayAgainstCpmm:
-    """The hand-inlined replay kernel equals cpmm's math, trade by trade."""
+    """The inlined kernels equal the cpmm-composed replay, trade by trade.
+
+    replay_trades composes cpmm's routing, swap and arbitrage functions; the
+    two-pool kernel is checked against it, and the single-pool kernel
+    against a chain of cpmm swaps.
+    """
 
     @pytest.mark.parametrize("fees", [(0.003, 0.003), (0.003, 0.001)])
-    def test_each_trade_matches_reference_step(self, fees):
+    def test_each_trade_matches_the_reference_replay(self, fees):
         rng = random.Random(2204)
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
         labels = [rng.choice([0, 0, 1, 2]) for _ in range(len(trades))]
@@ -333,20 +304,48 @@ class TestReplayAgainstCpmm:
         pool2 = PoolState(2e4, 2e4, fee=fees[1])
         tallies = [0, 0]
         for is_a2b, amount, label in zip(trades.a2b, trades.amounts, labels):
-            direction = "a2b" if is_a2b else "b2a"
-            out, new1, new2 = replay_trades(pool1, pool2, trace_of((direction, amount)), [label])
-            ref, ref1, ref2 = reference_step(pool1, pool2, direction, amount, label, 0.1)
+            trade = trace_of(("a2b" if is_a2b else "b2a", amount))
+            ref, ref1, ref2 = replay_trades(pool1, pool2, trade, [label])
+            out, reserves = replay_two(pool1, pool2, trade, [label], 0.1)
             assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
-            for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):
+            for field in VOLUMES:
                 assert getattr(out, field) == pytest.approx(getattr(ref, field), rel=1e-9), field
-            for got, want in ((new1, ref1), (new2, ref2)):
-                for field in ("reserve_a", "reserve_b", "fee_ledger_a", "fee_ledger_b"):
-                    assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9), field
+            want = (ref1.reserve_a, ref1.reserve_b, ref2.reserve_a, ref2.reserve_b)
+            assert reserves == pytest.approx(want, rel=1e-9)
             tallies[0] += ref.arb_count
             tallies[1] += ref.rerouted_count
             pool1, pool2 = ref1, ref2
         # both the arbitrage and the reroute branches ran
         assert min(tallies) > 0
+
+    @pytest.mark.parametrize("above", [True, False])
+    @pytest.mark.parametrize(
+        "pool1, pool2, amount",
+        [
+            # a large trade into a tiny pool: the kernel solves the split
+            (PoolState(100.0, 100.0, fee=0.003), PoolState(1e4, 1e4, fee=0.003), 60.0),
+            # a small trade into the dearer pool: when it stays, the kernel
+            # skips the split by a hair
+            (PoolState(1e6, 1e6, fee=0.01), PoolState(1e6, 1e6, fee=0.003), 0.5),
+        ],
+    )
+    def test_reroute_decision_either_side_of_the_threshold(self, pool1, pool2, amount, above):
+        # a trade loyal to pool 1 whose direct / best output lies 1e-6 above
+        # or below 1 - threshold: it stays above and reroutes below
+        best = optimal_split([pool1, pool2], amount, "a2b").total_out
+        direct = quote(pool1, amount, "a2b")
+        threshold = 1.0 - direct / best / (1.0 + 1e-6 if above else 1.0 - 1e-6)
+        trade = trace_of(("a2b", amount))
+        ref = replay_trades(pool1, pool2, trade, [1], threshold)[0]
+        out = replay_two(pool1, pool2, trade, [1], threshold)[0]
+        assert ref.rerouted_count == (not above)
+        assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
+        for field in VOLUMES:
+            assert getattr(out, field) == pytest.approx(getattr(ref, field), rel=1e-9), field
+        if above and amount < 1.0:
+            rates = [p.reserve_b * (1.0 - p.fee) / p.reserve_a for p in (pool1, pool2)]
+            bound = (1.0 - threshold + simulation._SKIP_MARGIN) * amount * max(rates)
+            assert direct >= bound
 
     @pytest.mark.parametrize("fee", [0.003, 0.01])
     @pytest.mark.parametrize("own_label", [1, 2])
@@ -470,6 +469,27 @@ class TestFindEquilibrium:
             trades = trace_of(*[("a2b", a) for a in amounts])
             with pytest.raises(TraceScaleError, match="L_total"):
                 find_equilibrium(params, trades, 1e6)
+
+    def test_replays_through_the_module_level_kernels(self, monkeypatch):
+        # perfbench's tracer counts replays by wrapping _replay_two and
+        # _replay_single by name, and finds the labelled trace as their one
+        # list argument
+        lists = {"_replay_two": [], "_replay_single": []}
+        for name, seen in lists.items():
+            def counted(*args, _kernel=getattr(simulation, name), _seen=seen, **kwargs):
+                _seen.append([a for a in (*args, *kwargs.values()) if isinstance(a, list)])
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, counted)
+        trades = lognormal_trace(400, 50.0)
+        # pool 1 is the better deal at every split: cells 1, m-1 and m
+        params = ModelParams(t1=0.05, t2=0.167, s1=0.1, s2=0.0, d=0.0, f=0.003)
+        assert find_equilibrium(params, trades, 1e6).l1 == 1.0
+        assert [len(seen) for seen in lists.values()] == [2, 1]
+        compiled = simulation._compile(trades, assign_sticky(trades, 0.1, 0.0))
+        for seen in lists.values():
+            for found in seen:
+                assert len(found) == 1 and found[0] == compiled
 
     def test_step_errors_name_the_key(self):
         params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
