@@ -25,19 +25,20 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
 4. sweep_take_rate repeats the equilibrium search across a take-rate grid
    and reports the revenue curve.  A replay does not depend on t1, t2 or d,
    which enter only the residual (1-t1)*f*vol1/L1*(1+d) - (1-t2)*f*vol2/L2
-   and rev1 = t1*vol1/V, so the sweep labels the trace once and every take
-   rate searches the same table: each split is replayed at most once per
-   sweep.  The searches advance in lockstep, one round of cell requests at a time, and
-   on a machine with two or more usable cores a long sweep forks one child
-   per round, which replays every second new cell of that round and is
-   reaped before the round ends.  Without os.fork or the cores, while
-   another thread runs, on a short trace, or if a child fails, every cell
-   replays in this process; the curve is the same.  Nothing needs
-   configuring.
+   and rev1 = t1*vol1/V, so the sweep labels the trace once and one solve
+   runs every take rate over the same table: each split is replayed at most
+   once per sweep.  The solve fills the table in rounds, one bisection step
+   of every take rate per round, take rates that share a bracket sharing its
+   midpoint, and on a machine with two or more usable cores a long sweep
+   forks one child per round, which replays every second new cell of that
+   round and is reaped before the round ends.  Without os.fork or the
+   cores, while another thread runs, on a short trace, or if a child fails,
+   every cell replays in this process; the curve is the same.  Nothing
+   needs configuring.
 
 Volumes are accounted in token-0 units; token-1 legs convert at the pool's
 pre-trade marginal price.  A pool's fee revenue is f times its volume, so
-the replays tally volumes only and _search derives the fees.  Pools are
+the replays tally volumes only and _solve derives the fees.  Pools are
 constructed balanced at a marginal price of 1 (reserve_a = reserve_b = L_i),
 so trace amounts of either asset are size-comparable.  Everything is
 deterministic given the seed.
@@ -54,8 +55,8 @@ import os
 import random
 import sys
 from array import array
-from dataclasses import astuple, dataclass, replace
-from typing import BinaryIO, Generator, Iterable, Optional, Sequence
+from dataclasses import astuple, dataclass
+from typing import BinaryIO, Iterable, Optional, Sequence
 
 from .analytical import (
     EquilibriumResult,
@@ -151,7 +152,7 @@ class SimOutcome:
 
     Both replay kernels build one per replay.  volume_i includes arbitrage
     legs (broken out again in arb_volume_i).  Pool i's fee revenue is
-    f * volume_i, which _search derives; it differs from the pools' raw
+    f * volume_i, which _solve derives; it differs from the pools' raw
     per-asset ledgers only by the price conversion.  A single-pool replay
     leaves the missing pool's tallies at zero.
     """
@@ -172,11 +173,7 @@ class SweepCurve:
 
     def argmax(self) -> EquilibriumResult:
         """Sample with the highest revenue; ties go to the smaller take rate."""
-        best = self.samples[0]
-        for s in self.samples[1:]:
-            if s.rev1 > best.rev1:
-                best = s
-        return best
+        return max(self.samples, key=lambda s: s.rev1)
 
 
 def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int]:
@@ -250,7 +247,7 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
     """Replay a compiled trace against two pools; the hot loop of the module.
 
     Returns the SimOutcome and each pool's final reserves: (outcome,
-    (a1, b1), (a2, b2)).  The outcome tallies volumes only; _search derives
+    (a1, b1), (a2, b2)).  The outcome tallies volumes only; _solve derives
     the fee revenue f * volume.
 
     A loyal trade reroutes when the optimal split's output beats its own
@@ -434,7 +431,7 @@ def replay_trades(
     kept.  A trace out of scale with the pools raises TraceScaleError before
     any trade is replayed.
 
-    This is the slow, readable replay.  The search never calls it: it
+    This is the slow, readable replay.  The solve never calls it: it
     replays through the inlined kernels _replay_two and _replay_single,
     which the tests check against it.
     """
@@ -514,10 +511,11 @@ class _CellTable:
     trace is long enough (see _FORK_MIN_WORK).  The child inherits the
     labelled trace, replays every second missing cell and writes the
     outcomes back, while this process replays the others; fill reaps the
-    child before it returns or raises.  A lone search asks for two cells at
-    most, so it never forks.  If the fork fails or the child dies or replies
-    badly, this process replays the child's cells too: the outcomes are the
-    same either way, and nothing carries over to the next round.
+    child before it returns or raises.  A solve of one take rate fills two
+    cells a round at most, so it never forks.  If the fork fails or the
+    child dies or replies badly, this process replays the child's cells too:
+    the outcomes are the same either way, and nothing carries over to the
+    next round.
     """
 
     def __init__(
@@ -546,32 +544,27 @@ class _CellTable:
         largest = max(trace.amounts, default=0.0)
         _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
         self.replays = 0  # replays run, here or in a child
-        self._cells: dict[int, SimOutcome] = {}
+        self.cells: dict[int, SimOutcome] = {}  # by index; only fill writes it
         self.compiled = _compile(trace, assign_sticky(trace, params.s1, params.s2, seed))
 
-    def cell(self, i: int) -> SimOutcome:
-        """The replay outcome at index i, replayed on first use."""
-        self.fill((i,))
-        return self._cells[i]
-
     def fill(self, indices: Iterable[int]) -> None:
-        """Replay every cell of indices that the table does not hold yet.
+        """Replay every cell of indices that self.cells does not hold yet.
 
         With a child forked, every second missing cell in index order goes to
         the child while this process replays the others, so which replays run
         here depends on the request alone.
         """
-        missing = sorted(set(indices).difference(self._cells))
+        missing = sorted(set(indices).difference(self.cells))
         lent = missing[1::2]
         child = self._fork(lent) if len(missing) >= 3 else None
         if child is None:
             for i in missing:
-                self._cells[i] = self._replay(i)
+                self.cells[i] = self._replay(i)
             return
         pid, replies = child
         try:
             for i in missing[0::2]:
-                self._cells[i] = self._replay(i)
+                self.cells[i] = self._replay(i)
             outcomes = self._receive(replies, len(lent))
         finally:
             import signal  # only a run that forks needs it
@@ -585,7 +578,7 @@ class _CellTable:
                     os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
-        self._cells.update(zip(lent, outcomes or [self._replay(i) for i in lent]))
+        self.cells.update(zip(lent, outcomes or [self._replay(i) for i in lent]))
 
     def _replay(self, i: int) -> SimOutcome:
         self.replays += 1
@@ -676,88 +669,84 @@ def _check_scale(largest: float, volume: float, reserves: float, L_min: float, n
     )
 
 
-def _search(
-    params: ModelParams, table: _CellTable
-) -> Generator[tuple[int, ...], None, EquilibriumResult]:
-    """The equilibrium search of find_equilibrium over one cell table.
+def _solve(
+    params: ModelParams, t1s: Sequence[float], table: _CellTable
+) -> list[EquilibriumResult]:
+    """The equilibrium at every take rate in t1s over one table; params.t1 is ignored.
 
-    A generator: before each read it yields the cell indices it reads next,
-    (1, m-1) first, then (m,), (0,) or one bisection midpoint at a time, and
-    it returns the EquilibriumResult.  _solve fills the cells it asks for.
-    Its converter, cell, is where a replay's volumes become fees: pool i
-    earns f * volume_i, so r_i = (1-t_i) * f * volume_i / L_i and
-    rev1 = t1 * volume_1 / V with V the trace volume.
+    Each round fills its cells with one call to table.fill, so the table can
+    replay them side by side.  The first round fills cells 1 and m-1.  A take
+    rate whose residual is positive at m-1 reads cell m, one negative at 1
+    reads cell 0, and every other one bisects the bracket (1, m-1), the
+    residual falling with the share.  Each later round fills the midpoint of
+    every bracket still wider than one cell, and the second round also the
+    end cells; take rates that share a bracket share its midpoint.  The
+    result is the cell read with the least |residual|, ties within 1e-12
+    going to the larger share.  The converter, result, is where a replay's
+    volumes become fees: pool i earns f * volume_i, so
+    r_i = (1-t_i) * f * volume_i / L_i and rev1 = t1 * volume_1 / V with V
+    the trace volume.
     """
     L_total = table.L_total
     f = table.f
-    one_minus_t1 = 1.0 - params.t1
     one_minus_t2 = 1.0 - params.t2
     one_plus_d = 1.0 + params.d
 
-    def cell(i: int) -> EquilibriumResult:
-        o = table.cell(i)
+    def result(t1: float, i: int) -> EquilibriumResult:
+        o = table.cells[i]
         l1 = table.shares[i]
         L1 = l1 * L_total
         L2 = (1.0 - l1) * L_total
         return EquilibriumResult(
-            t1=params.t1,
+            t1=t1,
             l1=l1,
             v1=o.volume_1 - o.arb_volume_1,
             v2=o.volume_2 - o.arb_volume_2,
-            r1=one_minus_t1 * (f * o.volume_1) / L1 if L1 > 0.0 else None,
+            r1=(1.0 - t1) * (f * o.volume_1) / L1 if L1 > 0.0 else None,
             r2=one_minus_t2 * (f * o.volume_2) / L2 if L2 > 0.0 else None,
-            rev1=params.t1 * o.volume_1 / table.total_volume,
+            rev1=t1 * o.volume_1 / table.total_volume,
         )
 
-    def interior(i: int) -> tuple[float, EquilibriumResult]:
-        result = cell(i)
-        return result.r1 * one_plus_d - result.r2, result
+    def residual(t1: float, i: int) -> float:
+        r = result(t1, i)
+        return r.r1 * one_plus_d - r.r2
 
     m = table.m
-    low_i, high_i = 1, m - 1
-    yield low_i, high_i
-    evaluated = {low_i: interior(low_i), high_i: interior(high_i)}
-    if evaluated[high_i][0] > 0.0:
-        yield (m,)
-        return cell(m)
-    if evaluated[low_i][0] < 0.0:
-        yield (0,)
-        return cell(0)
-
-    # res decreases with the share: maintain res(low) >= 0 >= res(high)
-    while high_i - low_i > 1:
-        mid = (low_i + high_i) // 2
-        yield (mid,)
-        evaluated[mid] = interior(mid)
-        if evaluated[mid][0] > 0.0:
-            low_i = mid
+    table.fill((1, m - 1))
+    # residual by cell read, per take rate
+    reads = [{1: residual(t1, 1), m - 1: residual(t1, m - 1)} for t1 in t1s]
+    ends: dict[int, int] = {}
+    brackets: dict[int, tuple[int, int]] = {}
+    for k, res in enumerate(reads):
+        if res[m - 1] > 0.0:
+            ends[k] = m
+        elif res[1] < 0.0:
+            ends[k] = 0
         else:
-            high_i = mid
+            brackets[k] = 1, m - 1
+    pending = set(ends.values())
+    while True:
+        # res decreases with the share: each bracket keeps res(lo) >= 0 >= res(hi)
+        brackets = {k: (lo, hi) for k, (lo, hi) in brackets.items() if hi - lo > 1}
+        if not (brackets or pending):
+            break
+        mids = {k: (lo + hi) // 2 for k, (lo, hi) in brackets.items()}
+        table.fill(pending.union(mids.values()))
+        pending = set()
+        for k, mid in mids.items():
+            res = reads[k][mid] = residual(t1s[k], mid)
+            lo, hi = brackets[k]
+            brackets[k] = (mid, hi) if res > 0.0 else (lo, mid)
 
-    # ties within 1e-12 go to the larger share
-    best_abs = min(abs(res) for res, _ in evaluated.values())
-    best_i = max(i for i, (res, _) in evaluated.items() if abs(res) <= best_abs + 1e-12)
-    return evaluated[best_i][1]
-
-
-def _solve(searches: list, table: _CellTable) -> list[EquilibriumResult]:
-    """Run searches over one table in lockstep and return their results.
-
-    Each round fills the union of the cells the unfinished searches ask for,
-    so the table can replay a round's cells side by side, then resumes every
-    search.  A search reads the same cells as it would alone.
-    """
-    results: dict[int, EquilibriumResult] = {}
-    requests = {k: next(search) for k, search in enumerate(searches)}
-    while requests:
-        table.fill(set().union(*requests.values()))
-        for k in list(requests):
-            try:
-                requests[k] = next(searches[k])
-            except StopIteration as done:
-                results[k] = done.value
-                del requests[k]
-    return [results[k] for k in range(len(searches))]
+    results = []
+    for k, t1 in enumerate(t1s):
+        best = ends.get(k)
+        if best is None:
+            # ties within 1e-12 go to the larger share
+            least = min(abs(res) for res in reads[k].values())
+            best = max(i for i, res in reads[k].items() if abs(res) <= least + 1e-12)
+        results.append(result(t1, best))
+    return results
 
 
 def find_equilibrium(
@@ -777,12 +766,12 @@ def find_equilibrium(
     1e-12 going to the larger share.  If pool 1 is still the better deal at
     1-step the result is l1 = 1 (full migration, a single-pool replay with
     r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual is
-    monotone in the share, so the grid minimum is located by bracketing
-    instead of evaluating every cell.  One search asks for two cells at most,
-    so it never forks and runs in this process alone.
+    monotone in the share, so the grid minimum is located by bisection
+    instead of evaluating every cell (see _solve).  One take rate fills two
+    cells a round at most, so it never forks and runs in this process alone.
     """
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
-    return _solve([_search(params, table)], table)[0]
+    return _solve(params, (params.t1,), table)[0]
 
 
 def sweep_take_rate(
@@ -800,12 +789,12 @@ def sweep_take_rate(
     params.t1 is ignored; each grid value is substituted in turn.  Revenue is
     normalized as t1 * volume_1 / V with V the total trace volume, which is
     t1 times pool 1's fees f * volume_1 over V * f.  The trace is labelled
-    once and every take rate searches the same cell table, so each sample
-    equals find_equilibrium at that take rate and seed.  The searches
-    advance in lockstep; on two or more cores each round forks a child that
-    replays half of the round's new cells (see _CellTable).
+    once and one solve runs every take rate over the same cell table, so
+    each sample equals find_equilibrium at that take rate and seed.  Each
+    round of the solve bisects every take rate's bracket once, and on two
+    or more cores it forks a child that replays half of the round's new
+    cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
-    samples = _solve([_search(replace(params, t1=t1), table) for t1 in grid], table)
-    return SweepCurve(samples=tuple(samples))
+    return SweepCurve(samples=tuple(_solve(params, grid, table)))

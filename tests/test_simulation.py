@@ -409,9 +409,10 @@ class TestFindEquilibrium:
         """(l1, rev1) of the exhaustive search: every interior cell's residual."""
         table = simulation._CellTable(params, trades, L_total, liquidity_step, 0, 0.1)
         m = table.m
+        table.fill(range(m + 1))
 
         def residual(i):
-            o, l1 = table.cell(i), table.shares[i]
+            o, l1 = table.cells[i], table.shares[i]
             r1 = (1.0 - params.t1) * (params.f * o.volume_1) / (l1 * L_total)
             r2 = (1.0 - params.t2) * (params.f * o.volume_2) / ((1.0 - l1) * L_total)
             return r1 * (1.0 + params.d) - r2
@@ -425,7 +426,7 @@ class TestFindEquilibrium:
             # ties within 1e-12 go to the larger share
             least = min(abs(r) for r in res.values())
             best = max(i for i, r in res.items() if abs(r) <= least + 1e-12)
-        rev1 = params.t1 * table.cell(best).volume_1 / table.total_volume
+        rev1 = params.t1 * table.cells[best].volume_1 / table.total_volume
         return table.shares[best], rev1
 
     def test_bracketing_matches_full_scan(self):
@@ -543,43 +544,48 @@ class TestFindEquilibrium:
 
 
 class TestSearchTieRule:
-    """_search's last step: residuals within 1e-12 of the least go to the larger share."""
+    """_solve's last step: residuals within 1e-12 of the least go to the larger share."""
 
     @staticmethod
-    def search(gap):
-        """The cells read and the result, over a stub table of five cells.
+    def solve(gap, t1s=(0.0,)):
+        """The cells each round fills and the results, over a stub table of five cells.
 
         With L_total = f = 1 and t1 = t2 = d = 0 the residual is
         volume_1/L1 - volume_2/L2: +1 at share 1/4, +2 at 1/2 and -(1 + gap)
-        at 3/4, all exact but for gap's rounding.
+        at 3/4, all exact but for gap's rounding.  Cell 0 holds pool 2 alone.
         """
         shares = [0.0, 0.25, 0.5, 0.75, 1.0]
-        rates = {1: (2.0, 1.0), 2: (3.0, 1.0), 3: (1.0, 2.0 + gap)}
+        rates = {0: (0.0, 1.0), 1: (2.0, 1.0), 2: (3.0, 1.0), 3: (1.0, 2.0 + gap)}
         cells = {
             i: SimOutcome(r1 * shares[i], r2 * (1.0 - shares[i]), 0, 0, 0.0, 0.0)
             for i, (r1, r2) in rates.items()
         }
+        rounds = []
         table = SimpleNamespace(L_total=1.0, f=1.0, shares=shares, m=4, total_volume=1.0,
-                                cell=cells.__getitem__)
+                                cells=cells, fill=lambda indices: rounds.append(sorted(indices)))
         params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, d=0.0, f=0.003)
-        search = simulation._search(params, table)
-        reads = []
-        try:
-            while True:
-                reads.append(next(search))
-        except StopIteration as done:
-            return reads, done.value
+        return rounds, simulation._solve(params, t1s, table)
 
     @pytest.mark.parametrize("gap", [0.0, 5e-13])
     def test_tie_goes_to_the_larger_share(self, gap):
-        reads, result = self.search(gap)
-        assert reads == [(1, 3), (2,)]
+        rounds, (result,) = self.solve(gap)
+        assert rounds == [[1, 3], [2]]
         assert (result.l1, result.r1, result.r2) == (0.75, 1.0, 2.0 + gap)
 
     def test_a_gap_beyond_the_tolerance_is_no_tie(self):
-        reads, result = self.search(1e-9)
-        assert reads == [(1, 3), (2,)]
+        rounds, (result,) = self.solve(1e-9)
+        assert rounds == [[1, 3], [2]]
         assert (result.l1, result.r1, result.r2) == (0.25, 2.0, 1.0)
+
+    def test_take_rates_share_a_bracket_and_its_midpoint(self):
+        # at t1 = 0.5 the residual is 0 at share 1/4, +0.5 at 1/2 and -1.5 at
+        # 3/4; at t1 = 0.9 it is negative at 1/4 already, so that take rate
+        # reads cell 0, in the second round beside the shared midpoint
+        rounds, results = self.solve(0.0, (0.0, 0.5, 0.9))
+        assert rounds == [[1, 3], [0, 2]]
+        assert [(r.t1, r.l1, r.r1, r.r2) for r in results] == [
+            (0.0, 0.75, 1.0, 2.0), (0.5, 0.25, 1.0, 1.0), (0.9, 0.0, None, 1.0)
+        ]
 
 
 class TestSweepTakeRate:
@@ -685,6 +691,38 @@ class TestSweepTakeRate:
         assert len([i for i in table.filled if 0 < i < table.m]) <= 49  # {0.02, ..., 0.98}
         assert {0, table.m} <= table.filled
 
+    # loyal flow on both sides, a sticky fork with d > 0, and a dear
+    # competitor; with s1 = s2 = 0 every crossing rate ties at t2
+    CROSSING_SCENARIOS = [
+        ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003),
+        ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0, d=0.1, f=0.003),
+        ModelParams(t1=0.0, t2=0.3, s1=0.2, s2=0.1, d=0.0, f=0.003),
+    ]
+
+    @pytest.mark.parametrize("params", CROSSING_SCENARIOS)
+    def test_samples_lie_between_their_neighbours_crossing_rates(self, params, tables):
+        # a replay does not depend on t1, so cell j's residual is linear in t1
+        # and crosses zero at T_j = 1 - (1-t2)(vol2_j/L2_j) / ((1+d) vol1_j/L1_j);
+        # a sample at interior cell i then has T_{i+1} <= t1 <= T_{i-1}
+        trades = lognormal_trace(3000, 30.0)
+        curve = sweep_take_rate(params, trades, 1e6, take_step=0.01, liquidity_step=0.01)
+        (table,) = tables
+        m, L_total = table.m, table.L_total
+        at = {s.t1: table.shares.index(s.l1) for s in curve.samples if 0.0 < s.l1 < 1.0}
+        table.fill({j for i in at.values() for j in (i - 1, i + 1) if 0 < j < m})
+
+        def crossing(j):
+            o, l1 = table.cells[j], table.shares[j]
+            r2 = (1.0 - params.t2) * o.volume_2 / ((1.0 - l1) * L_total)
+            return 1.0 - r2 / ((1.0 + params.d) * o.volume_1 / (l1 * L_total))
+
+        for t1, i in at.items():
+            if i + 1 < m:
+                assert crossing(i + 1) - 1e-12 <= t1
+            if i - 1 > 0:
+                assert t1 <= crossing(i - 1) + 1e-12
+        assert len(at) >= 70
+
     def test_deterministic_curve(self):
         trades = lognormal_trace(300, 25.0)
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.05, d=0.0, f=0.003)
@@ -724,7 +762,7 @@ def tables(monkeypatch):
 
         @property
         def filled(self):
-            return set(self._cells)
+            return set(self.cells)
 
     monkeypatch.setattr(simulation, "_CellTable", Recording)
     return built
@@ -757,17 +795,32 @@ def helper_sweep():
 
 @pytest.fixture(scope="module")
 def serial():
-    """helper_sweep's curve and filled cells, one search after another."""
+    """helper_sweep's curve and filled cells, one take rate after another."""
     table = simulation._CellTable(HELPER_PARAMS, HELPER_TRADES, 2e6, 0.005, 4, 0.1)
     samples = [
-        simulation._solve([simulation._search(replace(HELPER_PARAMS, t1=t1), table)], table)[0]
-        for t1 in take_rate_grid(0.05)
+        simulation._solve(HELPER_PARAMS, (t1,), table)[0] for t1 in take_rate_grid(0.05)
     ]
-    return SweepCurve(samples=tuple(samples)), set(table._cells)
+    return SweepCurve(samples=tuple(samples)), set(table.cells)
 
 
-# helper_sweep's rounds ask for 2, 2, 2, 4, 7, 12, 16, 19 and 13 new cells
-ROUNDS_THAT_FORK = 6
+# the new cells of each of helper_sweep's rounds; a round of three or more forks
+HELPER_ROUNDS = [2, 2, 2, 4, 7, 12, 16, 19, 13]
+ROUNDS_THAT_FORK = sum(new >= 3 for new in HELPER_ROUNDS)
+
+
+def test_helper_sweep_fills_its_rounds(monkeypatch):
+    # pinned on every machine: TestParallelSweep needs two cores
+    new_cells = []
+    fill = simulation._CellTable.fill
+
+    def counting(table, indices):
+        held = len(table.cells)
+        fill(table, indices)
+        new_cells.append(len(table.cells) - held)
+
+    monkeypatch.setattr(simulation._CellTable, "fill", counting)
+    helper_sweep()
+    assert new_cells == HELPER_ROUNDS
 
 
 def assert_no_child():
@@ -802,7 +855,7 @@ class TestParallelSweep:
         def fill_then_check(table, indices):
             indices = set(indices)
             fill(table, indices)
-            assert indices <= set(table._cells)
+            assert indices <= set(table.cells)
             assert_no_child()
 
         monkeypatch.setattr(simulation._CellTable, "fill", fill_then_check)
@@ -912,7 +965,7 @@ class TestParallelSweep:
 
         def fail_late(self, i):
             # the parent stops in its own replays while a child runs
-            if os.getpid() == parent and children and len(self._cells) > 10:
+            if os.getpid() == parent and children and len(self.cells) > 10:
                 raise KeyboardInterrupt
             return replay(self, i)
 
