@@ -5,18 +5,24 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
 1. assign_sticky marks the smallest trades (which profit least from routing)
    as loyal to pool 1 or pool 2 until their volume reaches the sticky rates.
    The rule works on trade sizes alone and returns one label per trade
-   (0 routed, 1 or 2 loyal); labels live beside the trace, never in it.
+   (0 routed, 1 or 2 loyal); labels live beside the trace, never in it.  It
+   sorts the sizes to find where the loyal prefix ends, and then only the
+   indices of that prefix.
 2. A replay runs a trace with its labels: loyal trades execute in their
    pool unless the outcome is badly worse than optimal routing, everything
    else is split optimally, and after every trade the profitable arbitrage
    round trip, if any, is executed.  replay_trades is the readable
    reference, composed from cpmm one trade at a time.  The search replays
    through two private kernels that inline the same math: _replay_two for
-   two pools, _replay_single for one.  _replay_two solves no split for a
+   two pools, _replay_single for one.  Both read the Trace's own columns
+   beside the label list, so a labelled trace costs one 8-byte list slot
+   per trade on top of its 9 bytes.  _replay_two solves no split for a
    loyal trade that cannot reroute: CPMM output is concave, so no split
    yields more than the trade times the better marginal rate, and a direct
    quote of at least (1 - threshold + 1e-9) times that bound stays, the
-   1e-9 covering float rounding.  The tests hold both kernels to cpmm.
+   1e-9 covering float rounding.  Nor does it look for an arbitrage after a
+   trade split into both pools, which leaves their marginal rates equal.
+   The tests hold both kernels to cpmm.
 3. find_equilibrium scans a discrete grid of liquidity splits for the point
    where r1*(1+d) = r2, capturing full migration to either pool at the grid
    edges.  The replay outcomes it reads come from a cell table keyed by grid
@@ -56,6 +62,7 @@ import random
 import sys
 from array import array
 from dataclasses import astuple, dataclass
+from itertools import islice
 from typing import BinaryIO, Iterable, Optional, Sequence
 
 from .analytical import (
@@ -126,6 +133,9 @@ class Trace:
     def __len__(self) -> int:
         return len(self.amounts)
 
+    def __hash__(self) -> int:
+        return hash((self.a2b, self.amounts.tobytes()))
+
     @classmethod
     def _of_checked(cls, a2b: bytes, amounts: array) -> Trace:
         """A Trace of equal-length columns whose every trade has passed check_trade.
@@ -195,17 +205,21 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
         return labels
 
     amounts = trace.amounts
-    total = _volume(amounts)
-    # sorted() is stable, so trace order breaks ties between equal sizes
-    by_size = sorted(range(len(amounts)), key=amounts.__getitem__)
-    target_all = (s1 + s2) * total
-    sticky: list[int] = []
+    target_all = (s1 + s2) * _volume(amounts)
+    # the prefix takes `taken` trades and ends at size `cut`; sizes alone
+    # give its volume, so only its indices need sorting
     sticky_volume = 0.0
-    for i in by_size:
+    taken = 0
+    cut = 0.0
+    for amount in sorted(amounts):
         if sticky_volume >= target_all:
             break
-        sticky.append(i)
-        sticky_volume += amounts[i]
+        cut = amount
+        taken += 1
+        sticky_volume += amount
+    # sorted() is stable, so trace order breaks ties between equal sizes
+    sticky = sorted((i for i, amount in enumerate(amounts) if amount < cut), key=amounts.__getitem__)
+    sticky += islice((i for i, amount in enumerate(amounts) if amount == cut), taken - len(sticky))
     if s2 == 0.0:
         # all of it is pool 1's: no draw, so the seed has no effect, and no
         # rounding in a shuffled running sum can hand a trade to pool 2
@@ -213,11 +227,10 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
             labels[i] = 1
         return labels
 
-    shuffled = sticky[:]
-    random.Random(seed).shuffle(shuffled)
+    random.Random(seed).shuffle(sticky)
     target_one = s1 / (s1 + s2) * sticky_volume
     taken = 0.0
-    for i in shuffled:
+    for i in sticky:
         if taken < target_one:
             labels[i] = 1
             taken += amounts[i]
@@ -232,23 +245,15 @@ def check_deviation_threshold(value: float) -> None:
         raise ValueError(f"deviation_threshold must be finite and nonnegative, got {value}")
 
 
-def _compile(trace: Trace, labels: Sequence[int]) -> list[tuple[bool, float, int]]:
-    """Pack a trace and its labels into (is_a2b, amount, label) replay tuples.
+def _replay_two(a1, b1, f1, a2, b2, f2, trace, labels, threshold):
+    """Replay a Trace and its labels against two pools; the hot loop of the module.
 
-    is_a2b is a bool, not the column's byte: _replay_two tests it twice per
-    trade and _replay_single once, and the interpreter tests True and False
-    fastest.  The list is the kernels' only list argument, which is how
-    perfbench's tracer tells the trace from the cell's other arguments.
-    """
-    return list(zip(map(bool, trace.a2b), trace.amounts, labels))
-
-
-def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
-    """Replay a compiled trace against two pools; the hot loop of the module.
-
-    Returns the SimOutcome and each pool's final reserves: (outcome,
-    (a1, b1), (a2, b2)).  The outcome tallies volumes only; _solve derives
-    the fee revenue f * volume.
+    labels holds one label per trade, as assign_sticky returns them, and is
+    the kernels' only list argument: perfbench's tracer takes it for the
+    labelled trace and hashes every other argument, the Trace included, into
+    a cell key.  Returns the SimOutcome and each pool's final reserves:
+    (outcome, (a1, b1), (a2, b2)).  The outcome tallies volumes only; _solve
+    derives the fee revenue f * volume.
 
     A loyal trade reroutes when the optimal split's output beats its own
     pool's direct quote by more than threshold times the split's output.
@@ -257,6 +262,16 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
     loyal trade whose direct quote reaches (1 - threshold + _SKIP_MARGIN) *
     amt * m therefore cannot reroute: it executes in its own pool with no
     split solved.  Any other loyal trade solves the split and compares.
+
+    A trade split into both pools (x1 > 0 and x2 > 0) leaves their marginal
+    rates in its direction equal: g1 * out1 / in1 = g2 * out2 / in2 after
+    the trade.  A round trip pays only while nd / dd exceeds 1, and at equal
+    rates that ratio is g1**2 or g2**2, below 1 for any positive fee, so the
+    loop skips the arbitrage test after such a trade.  Rounding leaves the
+    rates a few ulps apart, which can tip nd over dd when the fees are 1e-12
+    or less, but such a round trip gained at most about 3e-27 of the
+    reserves in replays with fees from 0 to 0.05, far below the
+    _MIN_PROFIT_SCALE it must clear: the skip changes no outcome.
     """
     sqrt = math.sqrt
     g1 = 1.0 - f1
@@ -267,7 +282,7 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
     arb_count = rerouted = 0
     min_profit = _MIN_PROFIT_SCALE * (a1 + a2)
 
-    for is_a2b, amt, lab in compiled:
+    for is_a2b, amt, lab in zip(trace.a2b, trace.amounts, labels):
         if is_a2b:
             in1, out1, in2, out2 = a1, b1, a2, b2
         else:
@@ -329,6 +344,10 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
                 b2 += g2 * y2
                 a2 -= o2
 
+        if y1 > 0.0 and y2 > 0.0:
+            # a split into both pools left their marginal rates equal, so no
+            # round trip clears the fee band
+            continue
         # Arbitrage round trip in token-0; at most one direction can clear
         # the fee band.
         nd = a1 * g1 * g2 * b2
@@ -380,16 +399,17 @@ def _replay_two(a1, b1, f1, a2, b2, f2, compiled, threshold):
     return outcome, (a1, b1), (a2, b2)
 
 
-def _replay_single(a, b, f, compiled, own_label):
+def _replay_single(a, b, f, trace, labels, own_label):
     """Replay with one surviving pool, pool `own_label`: everything executes there.
 
-    Trades loyal to the missing pool count as rerouted.  Returns a SimOutcome
-    whose missing pool has zero tallies; nothing arbitrages against one pool.
+    trace and labels are as for _replay_two.  Trades loyal to the missing
+    pool count as rerouted.  Returns a SimOutcome whose missing pool has
+    zero tallies; nothing arbitrages against one pool.
     """
     g = 1.0 - f
     vol = 0.0
     rerouted = 0
-    for is_a2b, amt, lab in compiled:
+    for is_a2b, amt, lab in zip(trace.a2b, trace.amounts, labels):
         if lab != 0 and lab != own_label:
             rerouted += 1
         if is_a2b:
@@ -504,7 +524,9 @@ class _CellTable:
     sweep.  Cells are keyed by grid index i in 0..m, pool 1 holding shares[i]
     of L_total.  Cells 1..m-1 replay both pools through the module-level
     _replay_two; cell 0 (all liquidity in pool 2) and cell m (all in pool 1)
-    replay the surviving pool through _replay_single.
+    replay the surviving pool through _replay_single.  The table holds the
+    caller's trace, not a copy, and its labels from assign_sticky, one
+    8-byte list slot per trade: every replay reads the two side by side.
 
     A round of three or more missing cells forks one child of this process
     if os.fork exists, two cores are usable, no other thread runs and the
@@ -545,7 +567,8 @@ class _CellTable:
         _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
         self.replays = 0  # replays run, here or in a child
         self.cells: dict[int, SimOutcome] = {}  # by index; only fill writes it
-        self.compiled = _compile(trace, assign_sticky(trace, params.s1, params.s2, seed))
+        self.trace = trace
+        self.labels = assign_sticky(trace, params.s1, params.s2, seed)
 
     def fill(self, indices: Iterable[int]) -> None:
         """Replay every cell of indices that self.cells does not hold yet.
@@ -584,11 +607,14 @@ class _CellTable:
         self.replays += 1
         if i == 0 or i == self.m:
             return _replay_single(
-                self.L_total, self.L_total, self.f, self.compiled, own_label=1 if i == self.m else 2
+                self.L_total, self.L_total, self.f, self.trace, self.labels,
+                own_label=1 if i == self.m else 2,
             )
         L1 = self.shares[i] * self.L_total
         L2 = (1.0 - self.shares[i]) * self.L_total
-        return _replay_two(L1, L1, self.f, L2, L2, self.f, self.compiled, self.threshold)[0]
+        return _replay_two(
+            L1, L1, self.f, L2, L2, self.f, self.trace, self.labels, self.threshold
+        )[0]
 
     def _fork(self, lent: list[int]) -> Optional[tuple[int, BinaryIO]]:
         """Fork a child that replays the cells lent: its pid and reply pipe, or None.
@@ -599,7 +625,7 @@ class _CellTable:
         import threading  # a fork beside another thread can deadlock the child
 
         if (
-            len(self.compiled) * (self.m + 1) < _FORK_MIN_WORK
+            len(self.labels) * (self.m + 1) < _FORK_MIN_WORK
             or not hasattr(os, "fork")
             or _usable_cores() < 2
             or threading.active_count() > 1

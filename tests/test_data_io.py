@@ -140,6 +140,14 @@ class TestTrace:
         assert isinstance(copy, Trace) and copy == trace and copy.a2b == trace.a2b
         assert not hasattr(trace, "__dict__")
 
+    def test_equal_traces_hash_equal(self):
+        # a frozen Trace hashes by the columns it compares by
+        trace = trace_of(("a2b", 10.0), ("b2a", 5.0))
+        same = Trace(b"\x01\x00", array("d", [10.0, 5.0]))
+        assert same is not trace and hash(same) == hash(trace)
+        assert {trace, same} == {trace}
+        assert len({trace, same, trace_of(("a2b", 10.0), ("a2b", 5.0))}) == 2
+
     @pytest.mark.parametrize(
         "a2b, amounts, message",
         [(b"\x02", [1.0], "a2b must hold 1"), (b"\x01\x00", [1.0], "a2b has 2 entries for 1"),

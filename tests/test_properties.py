@@ -1,7 +1,8 @@
 """Property tests: trace files round-trip, closed-form outputs stay in range,
 the float-level scan equals its one-dataclass-per-point reference, sticky
-labels follow the size-ordered prefix rule, and the two-pool replay kernel
-makes the decisions of the cpmm-composed reference replay.
+labels follow the size-ordered prefix rule and equal that rule written out
+by sorting every trade, and the two-pool replay kernel makes the decisions
+of the cpmm-composed reference replay.
 
 Hypothesis runs derandomized with a small example budget, so the suite stays
 deterministic and fast; the strategies cover every value the validators
@@ -9,6 +10,7 @@ accept, boundaries included.
 """
 
 import math
+import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -164,12 +166,69 @@ def test_loyal_trades_are_a_prefix_by_size_then_trace_order(trace, s1, s2, seed)
     assert loyal == set(by_size[: len(loyal)])
 
 
+def sticky_by_full_sort(trace, s1, s2, seed):
+    """assign_sticky's rule written out by sorting every trade index by size."""
+    labels = [0] * len(trace)
+    if s1 + s2 == 0.0:
+        return labels
+    amounts = trace.amounts
+    total = 0.0
+    for amount in amounts:
+        total += amount
+    sticky = []
+    sticky_volume = 0.0
+    for i in sorted(range(len(amounts)), key=amounts.__getitem__):
+        if sticky_volume >= (s1 + s2) * total:
+            break
+        sticky.append(i)
+        sticky_volume += amounts[i]
+    if s2 == 0.0:
+        for i in sticky:
+            labels[i] = 1
+        return labels
+    shuffled = sticky[:]
+    random.Random(seed).shuffle(shuffled)
+    taken = 0.0
+    for i in shuffled:
+        if taken < s1 / (s1 + s2) * sticky_volume:
+            labels[i] = 1
+            taken += amounts[i]
+        else:
+            labels[i] = 2
+    return labels
+
+
+@st.composite
+def sticky_rates(draw):
+    """s1 and s2 with s1 + s2 <= 1, often 0 or summing to 1."""
+    s1 = draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), unit))
+    s2 = draw(st.one_of(st.sampled_from([0.0, 1.0 - s1]), st.floats(min_value=0.0, max_value=1.0 - s1)))
+    assume(s1 + s2 <= 1.0)
+    return s1, s2
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    # a handful of sizes, so that the prefix often ends inside a run of ties
+    traces(st.sampled_from([0.5, 1.0, 2.0, 3.0, 40.0]), min_size=1, max_size=60),
+    sticky_rates(),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(trace_of(("a2b", 1.0), ("b2a", 1.0), ("a2b", 2.0), ("a2b", 1.0)), (0.25, 0.75), 3)
+@example(trace_of(("a2b", 2.0), ("b2a", 1.0), ("a2b", 2.0), ("b2a", 2.0)), (0.0, 0.5), 11)
+# (s1 + s2) * V underflows to 0: no trade is loyal
+@example(trace_of(("a2b", 1e-300), ("b2a", 2e-300)), (5e-324, 5e-324), 0)
+def test_labels_equal_the_rule_that_sorts_every_trade(trace, rates, seed):
+    s1, s2 = rates
+    assert assign_sticky(trace, s1, s2, seed) == sticky_by_full_sort(trace, s1, s2, seed)
+
+
 @st.composite
 def two_pool_replays(draw):
     """Two balanced pools with unequal fees, pool 1 often tiny, and a labelled trace."""
     L1 = draw(st.one_of(st.floats(min_value=1.0, max_value=100.0), st.floats(min_value=1.0, max_value=1e6)))
     L2 = draw(st.floats(min_value=1.0, max_value=1e6))
-    fees = st.floats(min_value=0.0, max_value=0.05)
+    fees = st.one_of(st.floats(min_value=0.0, max_value=0.05), st.just(1e-9))
     f1, f2 = draw(fees), draw(fees)
     assume(f1 != f2)
     # trades up to ten times the smaller pool keep the replay in float range
@@ -187,12 +246,21 @@ def two_pool_replays(draw):
     (PoolState(100.0, 100.0, fee=0.003), PoolState(1e4, 1e4, fee=0.001),
      trace_of(("a2b", 60.0), ("b2a", 5.0)), [1, 2], 0.1)
 )
+# equalising splits between pools whose fee band is about 2e-9 wide
+@example(
+    (PoolState(5e3, 5e3, fee=1e-9), PoolState(2e4, 2e4, fee=1e-9),
+     trace_of(("a2b", 60.0), ("b2a", 30.0), ("a2b", 5.0), ("b2a", 400.0)), [1, 0, 2, 0], 0.1)
+)
+@example(
+    (PoolState(5e3, 5e3, fee=0.003), PoolState(2e4, 2e4, fee=1e-9),
+     trace_of(("a2b", 60.0), ("b2a", 30.0), ("a2b", 5.0), ("b2a", 400.0)), [1, 0, 2, 0], 0.1)
+)
 def test_two_pool_kernel_matches_the_reference_replay(replay):
     pool1, pool2, trace, labels, threshold = replay
     ref = replay_trades(pool1, pool2, trace, labels, threshold)[0]
     out = simulation._replay_two(
         pool1.reserve_a, pool1.reserve_b, pool1.fee, pool2.reserve_a, pool2.reserve_b, pool2.fee,
-        simulation._compile(trace, labels), threshold,
+        trace, labels, threshold,
     )[0]
     assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
     for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):

@@ -11,6 +11,7 @@ import os
 import random
 import signal
 import threading
+import tracemalloc
 from array import array
 from dataclasses import replace
 from types import SimpleNamespace
@@ -281,7 +282,7 @@ def replay_two(pool1, pool2, trace, labels, threshold):
     outcome, end1, end2 = simulation._replay_two(
         pool1.reserve_a, pool1.reserve_b, pool1.fee,
         pool2.reserve_a, pool2.reserve_b, pool2.fee,
-        simulation._compile(trace, labels), threshold,
+        trace, labels, threshold,
     )
     return outcome, end1 + end2
 
@@ -294,7 +295,11 @@ class TestReplayAgainstCpmm:
     against a chain of cpmm swaps.
     """
 
-    @pytest.mark.parametrize("fees", [(0.003, 0.003), (0.003, 0.001)])
+    # with fees of 1e-9 an equalising split leaves a fee band only about
+    # 2e-9 wide, where _replay_two skips the arbitrage test
+    @pytest.mark.parametrize(
+        "fees", [(0.003, 0.003), (0.003, 0.001), (1e-9, 1e-9), (0.003, 1e-9)]
+    )
     def test_each_trade_matches_the_reference_replay(self, fees):
         rng = random.Random(2204)
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
@@ -354,8 +359,7 @@ class TestReplayAgainstCpmm:
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
         labels = [rng.choice([0, 0, 1, 2]) for _ in range(len(trades))]
         L = 2e4
-        compiled = simulation._compile(trades, labels)
-        out = simulation._replay_single(L, L, fee, compiled, own_label=own_label)
+        out = simulation._replay_single(L, L, fee, trades, labels, own_label=own_label)
 
         # every trade executes in the one pool; a token-1 leg and its fee
         # convert to token-0 at the pre-trade price
@@ -473,24 +477,28 @@ class TestFindEquilibrium:
 
     def test_replays_through_the_module_level_kernels(self, monkeypatch):
         # perfbench's tracer counts replays by wrapping _replay_two and
-        # _replay_single by name, and finds the labelled trace as their one
-        # list argument
-        lists = {"_replay_two": [], "_replay_single": []}
-        for name, seen in lists.items():
-            def counted(*args, _kernel=getattr(simulation, name), _seen=seen, **kwargs):
-                _seen.append([a for a in (*args, *kwargs.values()) if isinstance(a, list)])
+        # _replay_single by name.  It takes their one positional list for the
+        # labelled trace and hashes every other argument into a cell key, so
+        # that list must be assign_sticky's labels and the rest must hash.
+        calls = {"_replay_two": [], "_replay_single": []}
+        for name, seen in calls.items():
+            def recorded(*args, _kernel=getattr(simulation, name), _seen=seen, **kwargs):
+                _seen.append((args, kwargs))
                 return _kernel(*args, **kwargs)
 
-            monkeypatch.setattr(simulation, name, counted)
+            monkeypatch.setattr(simulation, name, recorded)
         trades = lognormal_trace(400, 50.0)
         # pool 1 is the better deal at every split: cells 1, m-1 and m
         params = ModelParams(t1=0.05, t2=0.167, s1=0.1, s2=0.0, d=0.0, f=0.003)
         assert find_equilibrium(params, trades, 1e6).l1 == 1.0
-        assert [len(seen) for seen in lists.values()] == [2, 1]
-        compiled = simulation._compile(trades, assign_sticky(trades, 0.1, 0.0))
-        for seen in lists.values():
-            for found in seen:
-                assert len(found) == 1 and found[0] == compiled
+        assert [len(seen) for seen in calls.values()] == [2, 1]
+        labels = assign_sticky(trades, 0.1, 0.0)
+        for seen in calls.values():
+            for args, kwargs in seen:
+                assert not any(isinstance(a, list) for a in kwargs.values())
+                lists = [a for a in args if isinstance(a, list)]
+                assert lists == [labels]
+                hash(tuple(a for a in args if a is not lists[0]) + tuple(sorted(kwargs.items())))
 
     def test_step_errors_name_the_key(self):
         params = ModelParams(t1=0.1, t2=0.0, s1=0.1)
@@ -541,6 +549,29 @@ class TestFindEquilibrium:
         assert 0.0 < eq.l1 < 1.0
         traced = sum(trades.amounts)
         assert eq.v1 + eq.v2 == pytest.approx(traced, rel=1e-9)
+
+
+class TestCellTableMemory:
+    def test_a_labelled_table_holds_a_list_slot_per_trade(self):
+        # the table keeps the caller's trace and assign_sticky's labels, one
+        # 8-byte list slot per trade; labelling sorts the indices of the loyal
+        # prefix only.  A (bool, float, int) tuple per trade would retain
+        # about 96 bytes, and sorting every index peaks near 105.
+        trades = lognormal_trace(20_000, 50.0)
+        params = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = simulation._CellTable(params, trades, 2e6, 0.005, 7, 0.1)
+            retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert retained <= 16 * len(trades)
+        assert peak <= 64 * len(trades)
+        assert table.trace is trades and table.labels == assign_sticky(trades, 0.1, 0.05, 7)
 
 
 class TestSearchTieRule:
