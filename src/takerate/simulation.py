@@ -33,14 +33,16 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    which enter only the residual (1-t1)*f*vol1/L1*(1+d) - (1-t2)*f*vol2/L2
    and rev1 = t1*vol1/V, so the sweep labels the trace once and one solve
    runs every take rate over the same table: each split is replayed at most
-   once per sweep.  The solve fills the table in rounds, one bisection step
-   of every take rate per round, take rates that share a bracket sharing its
-   midpoint, and on a machine with two or more usable cores a long sweep
-   forks one child per round, which replays every second new cell of that
-   round and is reaped before the round ends.  Without os.fork or the
-   cores, while another thread runs, on a short trace, or if a child fails,
-   every cell replays in this process; the curve is the same.  Nothing
-   needs configuring.
+   once per sweep.  The solve fills the table in rounds.  Each round, every
+   take rate's bracket first moves past the cells already filled inside it,
+   then reads the two cells beside the crossing that both pools' volumes,
+   interpolated between the bracket's ends, predict; a lone search takes
+   about four rounds.  On a machine with two or more usable cores a round
+   long enough to pay for it forks one child, which replays every second new
+   cell of that round and is reaped before the round ends.  Without os.fork
+   or the cores, while another thread runs, on a short trace, or if a child
+   fails, every cell replays in this process; the result is the same.
+   Nothing needs configuring.
 
 Volumes are accounted in token-0 units; token-1 legs convert at the pool's
 pre-trade marginal price.  A pool's fee revenue is f times its volume, so
@@ -61,6 +63,7 @@ import os
 import random
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from itertools import islice
 from typing import BinaryIO, Iterable, Optional, Sequence
@@ -528,16 +531,15 @@ class _CellTable:
     caller's trace, not a copy, and its labels from assign_sticky, one
     8-byte list slot per trade: every replay reads the two side by side.
 
-    A round of three or more missing cells forks one child of this process
-    if os.fork exists, two cores are usable, no other thread runs and the
-    trace is long enough (see _FORK_MIN_WORK).  The child inherits the
+    A round forks one child of this process if the cells lent to it times
+    the trace length reach _FORK_MIN_WORK trade replays, os.fork exists, two
+    cores are usable and no other thread runs.  The child inherits the
     labelled trace, replays every second missing cell and writes the
     outcomes back, while this process replays the others; fill reaps the
-    child before it returns or raises.  A solve of one take rate fills two
-    cells a round at most, so it never forks.  If the fork fails or the
-    child dies or replies badly, this process replays the child's cells too:
-    the outcomes are the same either way, and nothing carries over to the
-    next round.
+    child before it returns or raises.  So on a long trace a lone search
+    forks its two-cell rounds too.  If the fork fails or the child dies or
+    replies badly, this process replays the child's cells too: the outcomes
+    are the same either way, and nothing carries over to the next round.
     """
 
     def __init__(
@@ -579,7 +581,7 @@ class _CellTable:
         """
         missing = sorted(set(indices).difference(self.cells))
         lent = missing[1::2]
-        child = self._fork(lent) if len(missing) >= 3 else None
+        child = self._fork(lent) if len(lent) * len(self.labels) >= _FORK_MIN_WORK else None
         if child is None:
             for i in missing:
                 self.cells[i] = self._replay(i)
@@ -624,12 +626,7 @@ class _CellTable:
         """
         import threading  # a fork beside another thread can deadlock the child
 
-        if (
-            len(self.labels) * (self.m + 1) < _FORK_MIN_WORK
-            or not hasattr(os, "fork")
-            or _usable_cores() < 2
-            or threading.active_count() > 1
-        ):
+        if not hasattr(os, "fork") or _usable_cores() < 2 or threading.active_count() > 1:
             return None
         fds: list[int] = []
         try:
@@ -665,13 +662,14 @@ class _CellTable:
         return None
 
 
-# A sweep round forks only when the trace length times the grid's m + 1 cells
-# reaches this many trade replays.  On a 2-core Xeon, sweeps of 101 take rates
-# over 201 cells, forking per round, ran a median 42-44% faster than serial at
-# 2,500 and 5,000 trades (7-11 alternating repetitions, three runs); at 1,250
-# trades the median moved from -9% to +39% between runs, and at 625 trades
-# forking was 17% slower.
-_FORK_MIN_WORK = 500_000
+# A round forks only when the cells lent to the child times the trace length
+# reach this many trade replays.  On a 2-core Xeon, rounds of two new cells
+# (medians of 25 alternating repetitions) took, forked against serial: 4.4
+# against 3.9 ms at 2,500 trades, 5.1-5.5 against 5.3-5.6 ms at 3,000 (two
+# runs), 5.7-6.8 against 7.0-7.8 ms at 4,000, 8.2 against 11.8 ms at 6,000
+# and 12.3 against 18.2 ms at 10,000.  Rounds of four cells at 2,000 trades,
+# also 4,000 lent replays, took 6.1-6.9 against 7.9-8.1 ms.
+_FORK_MIN_WORK = 4_000
 
 
 def _usable_cores() -> int:
@@ -703,24 +701,30 @@ def _solve(
     Each round fills its cells with one call to table.fill, so the table can
     replay them side by side.  The first round fills cells 1 and m-1.  A take
     rate whose residual is positive at m-1 reads cell m, one negative at 1
-    reads cell 0, and every other one bisects the bracket (1, m-1), the
-    residual falling with the share.  Each later round fills the midpoint of
-    every bracket still wider than one cell, and the second round also the
-    end cells; take rates that share a bracket share its midpoint.  The
-    result is the cell read with the least |residual|, ties within 1e-12
-    going to the larger share.  The converter, result, is where a replay's
-    volumes become fees: pool i earns f * volume_i, so
-    r_i = (1-t_i) * f * volume_i / L_i and rev1 = t1 * volume_1 / V with V
-    the trace volume.
+    reads cell 0, and every other one narrows the bracket (1, m-1), the
+    residual falling with the share; the second round also fills the end
+    cells.  Before each round, every bracket first walks the filled cells
+    strictly inside it in ascending order: a positive residual moves lo, and
+    the first other one becomes hi and ends the walk.  Then each bracket still
+    wider than one cell reads the two cells beside the crossing of its
+    residual with both pools' volumes interpolated linearly between its ends
+    (see probe), so every round fills a new cell inside every open bracket.
+    The result is the end of the final (lo, lo+1) with the smaller |residual|,
+    ties within 1e-12 going to the larger share: where the residual changes
+    sign once, that does not depend on which cells were read.  The converter,
+    result, is where a replay's volumes become fees: pool i earns
+    f * volume_i, so r_i = (1-t_i) * f * volume_i / L_i and
+    rev1 = t1 * volume_1 / V with V the trace volume.
     """
     L_total = table.L_total
     f = table.f
+    shares = table.shares
     one_minus_t2 = 1.0 - params.t2
     one_plus_d = 1.0 + params.d
 
     def result(t1: float, i: int) -> EquilibriumResult:
         o = table.cells[i]
-        l1 = table.shares[i]
+        l1 = shares[i]
         L1 = l1 * L_total
         L2 = (1.0 - l1) * L_total
         return EquilibriumResult(
@@ -737,40 +741,72 @@ def _solve(
         r = result(t1, i)
         return r.r1 * one_plus_d - r.r2
 
+    def probe(t1: float, lo: int, hi: int) -> set[int]:
+        """The cells strictly inside (lo, hi) beside the interpolated crossing.
+
+        At the share l = x + w*u, u in [0, 1], with both volumes linear in u
+        between the end cells, g(u) = (1-t1)(1+d)*v1*(1-l) - (1-t2)*v2*l has
+        the residual's sign and is the quadratic c0 + c1*u + c2*u**2.  Its
+        root in [0, 1] lies between cells c and c+1; without one, the
+        midpoint is read.
+        """
+        start, end = table.cells[lo], table.cells[hi]
+        x, w = shares[lo], shares[hi] - shares[lo]
+        a, b = (1.0 - t1) * one_plus_d, one_minus_t2
+        v1, dv1 = start.volume_1, end.volume_1 - start.volume_1
+        v2, dv2 = start.volume_2, end.volume_2 - start.volume_2
+        c0 = a * v1 * (1.0 - x) - b * v2 * x
+        c1 = a * (dv1 * (1.0 - x) - v1 * w) - b * (dv2 * x + v2 * w)
+        c2 = -w * (a * dv1 + b * dv2)
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc >= 0.0:
+            # both roots without cancellation; q is 0 only where c0 is
+            q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            for u in (c0 / q if q else 0.0, q / c2 if c2 else math.nan):
+                if 0.0 <= u <= 1.0:
+                    # shares[lo] <= x + w*u, so lo <= c < hi
+                    c = bisect_right(shares, x + w * u, lo, hi) - 1
+                    return {c, c + 1} - {lo, hi}
+        return {(lo + hi) // 2}
+
     m = table.m
-    table.fill((1, m - 1))
-    # residual by cell read, per take rate
-    reads = [{1: residual(t1, 1), m - 1: residual(t1, m - 1)} for t1 in t1s]
+    table.fill({1, m - 1})
     ends: dict[int, int] = {}
     brackets: dict[int, tuple[int, int]] = {}
-    for k, res in enumerate(reads):
-        if res[m - 1] > 0.0:
+    for k, t1 in enumerate(t1s):
+        if residual(t1, m - 1) > 0.0:
             ends[k] = m
-        elif res[1] < 0.0:
+        elif residual(t1, 1) < 0.0:
             ends[k] = 0
         else:
             brackets[k] = 1, m - 1
     pending = set(ends.values())
     while True:
         # res decreases with the share: each bracket keeps res(lo) >= 0 >= res(hi)
-        brackets = {k: (lo, hi) for k, (lo, hi) in brackets.items() if hi - lo > 1}
-        if not (brackets or pending):
+        probes = []
+        for k, (lo, hi) in brackets.items():
+            for i in range(lo + 1, hi):
+                if i in table.cells:
+                    if residual(t1s[k], i) > 0.0:
+                        lo = i
+                    else:
+                        hi = i
+                        break
+            brackets[k] = lo, hi
+            if hi - lo > 1:
+                probes.append(probe(t1s[k], lo, hi))
+        if not (probes or pending):
             break
-        mids = {k: (lo + hi) // 2 for k, (lo, hi) in brackets.items()}
-        table.fill(pending.union(mids.values()))
+        table.fill(pending.union(*probes))
         pending = set()
-        for k, mid in mids.items():
-            res = reads[k][mid] = residual(t1s[k], mid)
-            lo, hi = brackets[k]
-            brackets[k] = (mid, hi) if res > 0.0 else (lo, mid)
 
     results = []
     for k, t1 in enumerate(t1s):
         best = ends.get(k)
         if best is None:
+            lo, hi = brackets[k]
             # ties within 1e-12 go to the larger share
-            least = min(abs(res) for res in reads[k].values())
-            best = max(i for i, res in reads[k].items() if abs(res) <= least + 1e-12)
+            best = hi if abs(residual(t1, hi)) <= abs(residual(t1, lo)) + 1e-12 else lo
         results.append(result(t1, best))
     return results
 
@@ -788,13 +824,15 @@ def find_equilibrium(
 
     Sticky labels are assigned from params.s1/params.s2 with the given seed,
     then the trace is replayed for liquidity shares on the grid {step, ...,
-    1-step} and the share minimizing |r1*(1+d) - r2| is returned, ties within
-    1e-12 going to the larger share.  If pool 1 is still the better deal at
-    1-step the result is l1 = 1 (full migration, a single-pool replay with
-    r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual is
-    monotone in the share, so the grid minimum is located by bisection
-    instead of evaluating every cell (see _solve).  One take rate fills two
-    cells a round at most, so it never forks and runs in this process alone.
+    1-step}.  Of the two neighbouring cells where r1*(1+d) - r2 changes sign,
+    the one with the smaller |r1*(1+d) - r2| is returned, ties within 1e-12
+    going to the larger share.  If pool 1 is still the better deal at 1-step
+    the result is l1 = 1 (full migration, a single-pool replay with
+    r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual falls
+    with the share, so the crossing is located by narrowing a bracket
+    instead of evaluating every cell (see _solve): about four rounds of two
+    cells each.  On two or more cores and a long trace those rounds
+    fork (see _CellTable); the result is the same.
     """
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
     return _solve(params, (params.t1,), table)[0]
@@ -816,10 +854,11 @@ def sweep_take_rate(
     normalized as t1 * volume_1 / V with V the total trace volume, which is
     t1 times pool 1's fees f * volume_1 over V * f.  The trace is labelled
     once and one solve runs every take rate over the same cell table, so
-    each sample equals find_equilibrium at that take rate and seed.  Each
-    round of the solve bisects every take rate's bracket once, and on two
-    or more cores it forks a child that replays half of the round's new
-    cells (see _CellTable).
+    each sample equals find_equilibrium at that take rate and seed wherever
+    the residual changes sign once (where it changes sign more than once,
+    either returns one of the crossings).  Each round of the solve narrows
+    every take rate's bracket, and on two or more cores it forks a child
+    that replays half of the round's new cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)

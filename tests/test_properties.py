@@ -1,8 +1,9 @@
 """Property tests: trace files round-trip, closed-form outputs stay in range,
 the float-level scan equals its one-dataclass-per-point reference, sticky
 labels follow the size-ordered prefix rule and equal that rule written out
-by sorting every trade, and the two-pool replay kernel makes the decisions
-of the cpmm-composed reference replay.
+by sorting every trade, the two-pool replay kernel makes the decisions
+of the cpmm-composed reference replay, and the equilibrium search's round
+loop finds a crossing of the residual, on real replays and on any residuals.
 
 Hypothesis runs derandomized with a small example budget, so the suite stays
 deterministic and fast; the strategies cover every value the validators
@@ -30,8 +31,9 @@ from takerate.analytical import (
 )
 from takerate import simulation
 from takerate.cpmm import PoolState
-from takerate.data_io import load_trades, save_trades
-from takerate.simulation import assign_sticky, replay_trades
+from takerate.data_io import SyntheticSpec, generate_trades, load_trades, save_trades
+from takerate.simulation import SimOutcome, assign_sticky, find_equilibrium, replay_trades
+import test_simulation
 from traces import trace_of
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -265,3 +267,126 @@ def test_two_pool_kernel_matches_the_reference_replay(replay):
     assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
     for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):
         assert math.isclose(getattr(out, field), getattr(ref, field), rel_tol=1e-9), field
+
+
+def at_a_crossing(res, m, i):
+    """Whether cell i is where the search may stop, given interior residuals res.
+
+    Cell m needs res(m-1) > 0 and cell 0 res(1) < 0; an interior cell holds a
+    zero residual or ends a pair of neighbours with res(a) >= 0 >= res(a+1).
+    """
+    if i == m:
+        return res[m - 1] > 0.0
+    if i == 0:
+        return res[1] < 0.0
+    return res[i] == 0.0 or any(res[a] >= 0.0 >= res[a + 1] for a in (i - 1, i) if 1 <= a < m - 1)
+
+
+@st.composite
+def short_searches(draw):
+    """A short trace, a market, L_total and a liquidity step for a real search."""
+    trace = draw(traces(st.floats(min_value=1.0, max_value=1e3), min_size=1, max_size=40))
+    s1, s2 = draw(sticky_rates())
+    params = ModelParams(
+        t1=draw(unit), t2=draw(unit), s1=s1, s2=s2,
+        d=draw(st.floats(min_value=0.0, max_value=1.0)),
+        f=draw(st.sampled_from([0.0005, 0.003, 0.01])),
+    )
+    L_total = draw(st.sampled_from([1e4, 1e5, 1e6]))
+    step = draw(st.sampled_from([0.02, 0.05, 0.1, 0.125, 0.3, 0.5]))
+    return trace, params, L_total, step
+
+
+# large trades against small pools: at t1 = 0.59 the residual changes sign
+# five times over this trace's table, and the search stops at l1 = 0.11, a
+# crossing other than the full scan's 0.12
+MANY_CROSSINGS = (
+    generate_trades(SyntheticSpec(n_trades=800, size_sigma=2.0, seed=0)),
+    ModelParams(t1=0.59, t2=0.0, s1=0.2, s2=0.1, d=0.0, f=0.0005),
+    1e5,
+    0.005,
+)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(short_searches())
+@example(MANY_CROSSINGS)
+def test_search_stops_at_a_crossing_of_the_full_table(search):
+    # Where the full table's residual falls by more than the tie tolerance
+    # from cell to cell, the search and every sweep sample equal the full
+    # scan.  Where it changes sign once, the result does not depend on the
+    # cells read, so a sample equals the lone search.  Otherwise each stops
+    # at an end cell or a sign change.
+    trace, params, L_total, step = search
+    full = test_simulation.TestFindEquilibrium
+    table = full.full_table(params, trace, L_total, step)
+    m = table.m
+    samples = {s.t1: s for s in simulation.sweep_take_rate(params, trace, L_total, 0.1, step).samples}
+    for t1 in sorted(samples) + [params.t1]:
+        at_t1 = replace(params, t1=t1)
+        lone = find_equilibrium(at_t1, trace, L_total, step)
+        sample = samples.get(t1, lone)
+        res = full.residuals(at_t1, table)
+        positive = [res[i] > 0.0 for i in range(1, m)]
+        if all(res[i] - res[i + 1] > 1e-12 for i in range(1, m - 1)):
+            assert (lone.l1, lone.rev1) == full.full_scan(at_t1, table)
+        if positive == sorted(positive, reverse=True):
+            assert sample == lone
+        for result in (lone, sample):
+            assert at_a_crossing(res, m, table.shares.index(result.l1))
+
+
+@st.composite
+def any_residuals(draw):
+    """A stub table of any residuals, exact zeros included, and a few take rates."""
+    m = draw(st.integers(min_value=2, max_value=30))
+    shares = [i / m for i in range(m)] + [1.0]
+    volume = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
+    outcomes = [
+        SimOutcome(draw(volume), draw(volume), 0, 0, 0.0, 0.0) for _ in range(m + 1)
+    ]
+    t1s = draw(st.lists(unit, min_size=1, max_size=5))
+    return shares, outcomes, t1s
+
+
+@settings(PROPERTY, max_examples=200)
+@given(any_residuals())
+def test_round_loop_narrows_every_bracket_on_any_residuals(stub):
+    # The stub's fill raises on a cell requested twice or a round that
+    # fills nothing.  Each take rate's bracket is followed here by the
+    # search's rule: it moves past every filled cell inside it, lo on a
+    # positive residual, hi at the first other one.
+    shares, outcomes, t1s = stub
+    table = test_simulation.HiddenCellTable(shares, outcomes)
+    m = table.m
+    params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, d=0.0, f=0.003)
+    results = simulation._solve(params, t1s, table)
+    assert len(table.rounds) <= m + 1  # the loop ended, within one round per cell
+
+    def residual(t1, i):  # _solve's expression with L_total = f = 1 and t2 = d = 0
+        o, l1 = outcomes[i], shares[i]
+        return (1.0 - t1) * o.volume_1 / l1 - o.volume_2 / (1.0 - l1)
+
+    for t1, result in zip(t1s, results):
+        res = {i: residual(t1, i) for i in range(1, m)}
+        if res[m - 1] > 0.0 or res[1] < 0.0:
+            lo = hi = None
+        else:
+            lo, hi = 1, m - 1
+        held = set(table.rounds[0])
+        for request in table.rounds[1:]:
+            held.update(request)
+            if lo is None or hi - lo <= 1:
+                continue
+            width = hi - lo
+            for i in range(lo + 1, hi):
+                if i in held:
+                    if res[i] > 0.0:
+                        lo = i
+                    else:
+                        hi = i
+                        break
+            assert hi - lo < width  # every round narrows every open bracket
+        i = shares.index(result.l1)
+        assert at_a_crossing(res, m, i)
+        assert i in (lo, hi) if lo is not None else i in (0, m)

@@ -14,17 +14,15 @@ import threading
 import tracemalloc
 from array import array
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
 from takerate import simulation
 from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue, take_rate_grid
 from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
-from takerate.data_io import ConfigError, ScenarioConfig
+from takerate.data_io import ConfigError, ScenarioConfig, SyntheticSpec, generate_trades
 from takerate.simulation import (
     SimOutcome,
-    SweepCurve,
     Trace,
     TraceScaleError,
     assign_sticky,
@@ -409,11 +407,16 @@ class TestFindEquilibrium:
         assert eq.r1 is not None and eq.r2 is not None
 
     @staticmethod
-    def full_scan(params, trades, L_total, liquidity_step):
-        """(l1, rev1) of the exhaustive search: every interior cell's residual."""
+    def full_table(params, trades, L_total, liquidity_step):
+        """A cell table with every cell filled; it serves any t1, t2 and d."""
         table = simulation._CellTable(params, trades, L_total, liquidity_step, 0, 0.1)
-        m = table.m
-        table.fill(range(m + 1))
+        table.fill(range(table.m + 1))
+        return table
+
+    @staticmethod
+    def residuals(params, table):
+        """The residual of every interior cell, as the search computes it."""
+        L_total = table.L_total
 
         def residual(i):
             o, l1 = table.cells[i], table.shares[i]
@@ -421,7 +424,13 @@ class TestFindEquilibrium:
             r2 = (1.0 - params.t2) * (params.f * o.volume_2) / ((1.0 - l1) * L_total)
             return r1 * (1.0 + params.d) - r2
 
-        res = {i: residual(i) for i in range(1, m)}
+        return {i: residual(i) for i in range(1, table.m)}
+
+    @classmethod
+    def full_scan(cls, params, table):
+        """(l1, rev1) of the exhaustive search over a full table: every interior cell's residual."""
+        m = table.m
+        res = cls.residuals(params, table)
         if res[m - 1] > 0.0:
             best = m  # pool 1 still the better deal: full migration
         elif res[1] < 0.0:
@@ -442,7 +451,8 @@ class TestFindEquilibrium:
         for t1, s1, s2, d in cases:
             params = ModelParams(t1=t1, t2=0.05, s1=s1, s2=s2, d=d, f=0.003)
             fast = find_equilibrium(params, trades, 1e6, liquidity_step=0.02)
-            assert (fast.l1, fast.rev1) == self.full_scan(params, trades, 1e6, 0.02)
+            table = self.full_table(params, trades, 1e6, 0.02)
+            assert (fast.l1, fast.rev1) == self.full_scan(params, table)
             shares.append(fast.l1)
         assert all(0.0 < l1 < 1.0 for l1 in shares[:3]) and shares[3:] == [1.0, 0.0]
 
@@ -574,28 +584,51 @@ class TestCellTableMemory:
         assert table.trace is trades and table.labels == assign_sticky(trades, 0.1, 0.05, 7)
 
 
+class HiddenCellTable:
+    """A stub _CellTable with L_total = f = V = 1: fill moves cells out of a hidden store.
+
+    _solve sees only the cells filled so far, as with a real table.  A cell
+    requested twice is no longer in the store and raises KeyError, and an
+    empty request fails.  rounds holds every request, sorted.
+    """
+
+    def __init__(self, shares, outcomes):
+        self.shares = shares
+        self.m = len(shares) - 1
+        self.L_total = self.f = self.total_volume = 1.0
+        self.cells = {}
+        self.hidden = dict(enumerate(outcomes))
+        self.rounds = []
+
+    def fill(self, indices):
+        indices = sorted(indices)
+        assert indices, "a round that fills nothing"
+        self.rounds.append(indices)
+        for i in indices:
+            self.cells[i] = self.hidden.pop(i)
+
+
 class TestSearchTieRule:
-    """_solve's last step: residuals within 1e-12 of the least go to the larger share."""
+    """_solve's last step: the final bracket's end with the smaller |residual|,
+    ties within 1e-12 going to the larger share."""
 
     @staticmethod
     def solve(gap, t1s=(0.0,)):
         """The cells each round fills and the results, over a stub table of five cells.
 
-        With L_total = f = 1 and t1 = t2 = d = 0 the residual is
-        volume_1/L1 - volume_2/L2: +1 at share 1/4, +2 at 1/2 and -(1 + gap)
-        at 3/4, all exact but for gap's rounding.  Cell 0 holds pool 2 alone.
+        With t1 = t2 = d = 0 the residual is volume_1/L1 - volume_2/L2: +2 at
+        share 1/4, +1 at 1/2 and -(1 + gap) at 3/4, all exact but for gap's
+        rounding, so the final bracket is (1/2, 3/4).  Cell 0 holds pool 2
+        alone and cell 4 pool 1.
         """
         shares = [0.0, 0.25, 0.5, 0.75, 1.0]
-        rates = {0: (0.0, 1.0), 1: (2.0, 1.0), 2: (3.0, 1.0), 3: (1.0, 2.0 + gap)}
-        cells = {
-            i: SimOutcome(r1 * shares[i], r2 * (1.0 - shares[i]), 0, 0, 0.0, 0.0)
-            for i, (r1, r2) in rates.items()
-        }
-        rounds = []
-        table = SimpleNamespace(L_total=1.0, f=1.0, shares=shares, m=4, total_volume=1.0,
-                                cells=cells, fill=lambda indices: rounds.append(sorted(indices)))
+        rates = [(0.0, 1.0), (3.0, 1.0), (2.0, 1.0), (1.0, 2.0 + gap), (1.0, 0.0)]
+        table = HiddenCellTable(shares, [
+            SimOutcome(r1 * l1, r2 * (1.0 - l1), 0, 0, 0.0, 0.0)
+            for l1, (r1, r2) in zip(shares, rates)
+        ])
         params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, d=0.0, f=0.003)
-        return rounds, simulation._solve(params, t1s, table)
+        return table.rounds, simulation._solve(params, t1s, table)
 
     @pytest.mark.parametrize("gap", [0.0, 5e-13])
     def test_tie_goes_to_the_larger_share(self, gap):
@@ -606,16 +639,17 @@ class TestSearchTieRule:
     def test_a_gap_beyond_the_tolerance_is_no_tie(self):
         rounds, (result,) = self.solve(1e-9)
         assert rounds == [[1, 3], [2]]
-        assert (result.l1, result.r1, result.r2) == (0.25, 2.0, 1.0)
+        assert (result.l1, result.r1, result.r2) == (0.5, 2.0, 1.0)
 
-    def test_take_rates_share_a_bracket_and_its_midpoint(self):
-        # at t1 = 0.5 the residual is 0 at share 1/4, +0.5 at 1/2 and -1.5 at
-        # 3/4; at t1 = 0.9 it is negative at 1/4 already, so that take rate
-        # reads cell 0, in the second round beside the shared midpoint
+    def test_take_rates_fill_their_cells_in_shared_rounds(self):
+        # at t1 = 0.5 the residual is +0.5 at share 1/4, 0 at 1/2 and -1.5 at
+        # 3/4, so the zero closes the bracket (1/4, 1/2); at t1 = 0.9 it is
+        # negative at 1/4 already, so that take rate reads cell 0, in the
+        # second round beside the cell the other two read
         rounds, results = self.solve(0.0, (0.0, 0.5, 0.9))
         assert rounds == [[1, 3], [0, 2]]
         assert [(r.t1, r.l1, r.r1, r.r2) for r in results] == [
-            (0.0, 0.75, 1.0, 2.0), (0.5, 0.25, 1.0, 1.0), (0.9, 0.0, None, 1.0)
+            (0.0, 0.75, 1.0, 2.0), (0.5, 0.5, 1.0, 1.0), (0.9, 0.0, None, 1.0)
         ]
 
 
@@ -826,21 +860,26 @@ def helper_sweep():
 
 @pytest.fixture(scope="module")
 def serial():
-    """helper_sweep's curve and filled cells, one take rate after another."""
-    table = simulation._CellTable(HELPER_PARAMS, HELPER_TRADES, 2e6, 0.005, 4, 0.1)
-    samples = [
-        simulation._solve(HELPER_PARAMS, (t1,), table)[0] for t1 in take_rate_grid(0.05)
-    ]
-    return SweepCurve(samples=tuple(samples)), set(table.cells)
+    """helper_sweep's curve, filled cells and replay count with every fork refused."""
+    built = []
+
+    class Refusing(simulation._CellTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def _fork(self, lent):
+            return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_CellTable", Refusing)
+        curve = helper_sweep()
+    (table,) = built
+    return curve, set(table.cells), table.replays
 
 
-# the new cells of each of helper_sweep's rounds; a round of three or more forks
-HELPER_ROUNDS = [2, 2, 2, 4, 7, 12, 16, 19, 13]
-ROUNDS_THAT_FORK = sum(new >= 3 for new in HELPER_ROUNDS)
-
-
-def test_helper_sweep_fills_its_rounds(monkeypatch):
-    # pinned on every machine: TestParallelSweep needs two cores
+def new_cells_per_round(monkeypatch):
+    """The number of new cells each _CellTable.fill adds, in call order."""
     new_cells = []
     fill = simulation._CellTable.fill
 
@@ -850,8 +889,33 @@ def test_helper_sweep_fills_its_rounds(monkeypatch):
         new_cells.append(len(table.cells) - held)
 
     monkeypatch.setattr(simulation._CellTable, "fill", counting)
+    return new_cells
+
+
+# the new cells of each of helper_sweep's rounds, and the rounds whose share
+# for the child reaches _FORK_MIN_WORK trade replays
+HELPER_ROUNDS = [2, 41, 25, 3]
+ROUNDS_THAT_FORK = sum(
+    new // 2 * len(HELPER_TRADES) >= simulation._FORK_MIN_WORK for new in HELPER_ROUNDS
+)
+
+
+def test_helper_sweep_fills_its_rounds(monkeypatch):
+    # pinned on every machine: TestParallelSweep needs two cores
+    new_cells = new_cells_per_round(monkeypatch)
     helper_sweep()
     assert new_cells == HELPER_ROUNDS
+
+
+def test_lone_search_rounds_and_replays(monkeypatch, tables):
+    # one search on a 10,000-trade sticky trace reads two cells a round,
+    # the last round one; the same on every machine, forked or not
+    new_cells = new_cells_per_round(monkeypatch)
+    trades = generate_trades(SyntheticSpec(n_trades=10_000, seed=7))
+    eq = find_equilibrium(replace(HELPER_PARAMS, t1=0.27), trades, 2e6, seed=4)
+    assert 0.0 < eq.l1 < 1.0
+    assert new_cells == [2, 2, 2, 1]
+    assert tables[0].replays == 7
 
 
 def assert_no_child():
@@ -905,7 +969,7 @@ class TestParallelSweep:
         assert len(children) == ROUNDS_THAT_FORK
         assert curve == serial[0]
         assert table.filled == serial[1]
-        assert table.replays == len(serial[1])
+        assert table.replays == serial[2]
         self.assert_stopped(children)
 
     @pytest.mark.parametrize("when", ["before a request", "during a request", "never: bad reply"])
@@ -952,7 +1016,7 @@ class TestParallelSweep:
         (table,) = tables
         assert len(children) == ROUNDS_THAT_FORK  # later rounds fork again
         assert curve == serial[0] and table.filled == serial[1]
-        assert table.replays == len(serial[1])  # the parent replayed the lost cells
+        assert table.replays == serial[2]  # the parent replayed the lost cells
         self.assert_stopped(children)
 
     def test_ignored_sigchld_gives_the_same_curve(self, serial, children, checked_fills):
@@ -1010,10 +1074,16 @@ class TestParallelSweep:
 class TestWhenToFork:
     """The rules that decide whether a round forks a child."""
 
-    def test_find_equilibrium_never_forks(self, forks):
-        eq = find_equilibrium(replace(HELPER_PARAMS, t1=0.2), HELPER_TRADES, 2e6, seed=4)
+    @pytest.mark.skipif(simulation._usable_cores() < 2, reason="forking needs two cores")
+    def test_find_equilibrium_forks_its_two_cell_rounds(self, forks, monkeypatch):
+        params = replace(HELPER_PARAMS, t1=0.2)
+        new_cells = new_cells_per_round(monkeypatch)
+        eq = find_equilibrium(params, HELPER_TRADES, 2e6, seed=4)
         assert 0.0 < eq.l1 < 1.0
-        assert forks == []
+        assert len(forks) == sum(new >= 2 for new in new_cells) >= 2
+        assert_no_child()
+        monkeypatch.setattr(simulation._CellTable, "_fork", lambda table, lent: None)
+        assert find_equilibrium(params, HELPER_TRADES, 2e6, seed=4) == eq
 
     def test_sweep_beside_another_thread_runs_serially(self, serial, tables, forks):
         release = threading.Event()
@@ -1041,5 +1111,5 @@ class TestWhenToFork:
         curve = helper_sweep()
         assert len(forked) == ROUNDS_THAT_FORK and set(forked) == {None}
         assert curve == serial[0] and tables[0].filled == serial[1]
-        assert tables[0].replays == len(serial[1])
+        assert tables[0].replays == serial[2]
         assert_no_child()
