@@ -111,7 +111,7 @@ def load_trades(path: Union[str, Path]) -> Trace:
     path = Path(path)
     a2b = bytearray()
     amounts = array("d")
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         parser = csv.reader(handle)
         reader = _rows(path, parser)
         try:
@@ -205,7 +205,7 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     """Parse and validate a flat key = value scenario file."""
     path = Path(path)
     raw: dict[str, str] = {}
-    with path.open() as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -126,6 +126,13 @@ class Trace:
     amounts: array
 
     def __post_init__(self) -> None:
+        # other column types could compare equal and still hash apart, or not hash
+        if not isinstance(self.a2b, bytes):
+            raise TypeError(f"a2b must be bytes, got {type(self.a2b).__name__}")
+        amounts = self.amounts
+        if not (isinstance(amounts, array) and amounts.typecode == "d"):
+            kind = f"array({amounts.typecode!r})" if isinstance(amounts, array) else type(amounts).__name__
+            raise TypeError(f"amounts must be an array('d'), got {kind}")
         if len(self.a2b) != len(self.amounts):
             raise ValueError(f"a2b has {len(self.a2b)} entries for {len(self.amounts)} amounts")
         if self.a2b.translate(None, b"\x00\x01"):
@@ -698,23 +705,26 @@ def _solve(
 ) -> list[EquilibriumResult]:
     """The equilibrium at every take rate in t1s over one table; params.t1 is ignored.
 
-    Each round fills its cells with one call to table.fill, so the table can
-    replay them side by side.  The first round fills cells 1 and m-1.  A take
-    rate whose residual is positive at m-1 reads cell m, one negative at 1
-    reads cell 0, and every other one narrows the bracket (1, m-1), the
-    residual falling with the share; the second round also fills the end
-    cells.  Before each round, every bracket first walks the filled cells
-    strictly inside it in ascending order: a positive residual moves lo, and
-    the first other one becomes hi and ends the walk.  Then each bracket still
-    wider than one cell reads the two cells beside the crossing of its
-    residual with both pools' volumes interpolated linearly between its ends
-    (see probe), so every round fills a new cell inside every open bracket.
-    The result is the end of the final (lo, lo+1) with the smaller |residual|,
-    ties within 1e-12 going to the larger share: where the residual changes
-    sign once, that does not depend on which cells were read.  The converter,
-    result, is where a replay's volumes become fees: pool i earns
-    f * volume_i, so r_i = (1-t_i) * f * volume_i / L_i and
-    rev1 = t1 * volume_1 / V with V the trace volume.
+    Each take rate holds one bracket (lo, hi) of cell indices, and each round
+    fills its new cells with one call to table.fill, so the table can replay
+    them side by side.  The first round fills cells 1 and m-1.  A take rate
+    whose residual is positive at m-1 closes on cell m, bracket (m, m), one
+    negative at 1 on (0, 0), and every other one narrows the open bracket
+    (1, m-1), the residual falling with the share.  Each round, every open
+    bracket first walks the filled cells strictly inside it in ascending
+    order: a positive residual moves lo, and the first other one becomes hi
+    and ends the walk.  Then each bracket still wider than one cell reads the
+    two cells beside the crossing of its residual with both pools' volumes
+    interpolated linearly between its ends (see probe), a new cell inside
+    every open bracket, and each closed one reads its cell; the loop ends
+    when a round finds nothing new.  The result is the end of the final
+    (lo, lo+1) with the smaller |residual|, ties within 1e-12 going to the
+    larger share (where the residual changes sign once, that does not depend
+    on which cells were read), or a closed bracket's cell.  rois is where a
+    replay's volumes become fees: pool i earns f * volume_i, so
+    r_i = (1-t_i) * f * volume_i / L_i, None for an empty pool.  Each take
+    rate's EquilibriumResult is built once, after the loop, with
+    rev1 = t1 * volume_1 / V, V the trace volume.
     """
     L_total = table.L_total
     f = table.f
@@ -722,24 +732,18 @@ def _solve(
     one_minus_t2 = 1.0 - params.t2
     one_plus_d = 1.0 + params.d
 
-    def result(t1: float, i: int) -> EquilibriumResult:
+    def rois(t1: float, i: int) -> tuple[Optional[float], Optional[float]]:
         o = table.cells[i]
-        l1 = shares[i]
-        L1 = l1 * L_total
-        L2 = (1.0 - l1) * L_total
-        return EquilibriumResult(
-            t1=t1,
-            l1=l1,
-            v1=o.volume_1 - o.arb_volume_1,
-            v2=o.volume_2 - o.arb_volume_2,
-            r1=(1.0 - t1) * (f * o.volume_1) / L1 if L1 > 0.0 else None,
-            r2=one_minus_t2 * (f * o.volume_2) / L2 if L2 > 0.0 else None,
-            rev1=t1 * o.volume_1 / table.total_volume,
+        L1 = shares[i] * L_total
+        L2 = (1.0 - shares[i]) * L_total
+        return (
+            (1.0 - t1) * (f * o.volume_1) / L1 if L1 > 0.0 else None,
+            one_minus_t2 * (f * o.volume_2) / L2 if L2 > 0.0 else None,
         )
 
     def residual(t1: float, i: int) -> float:
-        r = result(t1, i)
-        return r.r1 * one_plus_d - r.r2
+        r1, r2 = rois(t1, i)
+        return r1 * one_plus_d - r2
 
     def probe(t1: float, lo: int, hi: int) -> set[int]:
         """The cells strictly inside (lo, hi) beside the interpolated crossing.
@@ -771,20 +775,14 @@ def _solve(
 
     m = table.m
     table.fill({1, m - 1})
-    ends: dict[int, int] = {}
-    brackets: dict[int, tuple[int, int]] = {}
-    for k, t1 in enumerate(t1s):
-        if residual(t1, m - 1) > 0.0:
-            ends[k] = m
-        elif residual(t1, 1) < 0.0:
-            ends[k] = 0
-        else:
-            brackets[k] = 1, m - 1
-    pending = set(ends.values())
+    brackets = [
+        (m, m) if residual(t1, m - 1) > 0.0 else (0, 0) if residual(t1, 1) < 0.0 else (1, m - 1)
+        for t1 in t1s
+    ]
     while True:
-        # res decreases with the share: each bracket keeps res(lo) >= 0 >= res(hi)
-        probes = []
-        for k, (lo, hi) in brackets.items():
+        # res decreases with the share: each open bracket keeps res(lo) >= 0 >= res(hi)
+        new_cells = set()
+        for k, (lo, hi) in enumerate(brackets):
             for i in range(lo + 1, hi):
                 if i in table.cells:
                     if residual(t1s[k], i) > 0.0:
@@ -793,21 +791,23 @@ def _solve(
                         hi = i
                         break
             brackets[k] = lo, hi
-            if hi - lo > 1:
-                probes.append(probe(t1s[k], lo, hi))
-        if not (probes or pending):
+            # a closed bracket (i, i) needs cell i; a one-cell bracket's ends are filled
+            new_cells |= probe(t1s[k], lo, hi) if hi - lo > 1 else {lo, hi}
+        new_cells.difference_update(table.cells)
+        if not new_cells:
             break
-        table.fill(pending.union(*probes))
-        pending = set()
+        table.fill(new_cells)
 
     results = []
-    for k, t1 in enumerate(t1s):
-        best = ends.get(k)
-        if best is None:
-            lo, hi = brackets[k]
-            # ties within 1e-12 go to the larger share
-            best = hi if abs(residual(t1, hi)) <= abs(residual(t1, lo)) + 1e-12 else lo
-        results.append(result(t1, best))
+    for t1, (lo, hi) in zip(t1s, brackets):
+        # ties within 1e-12 go to the larger share
+        i = lo if lo < hi and abs(residual(t1, hi)) > abs(residual(t1, lo)) + 1e-12 else hi
+        o = table.cells[i]
+        r1, r2 = rois(t1, i)
+        results.append(EquilibriumResult(
+            t1=t1, l1=shares[i], v1=o.volume_1 - o.arb_volume_1, v2=o.volume_2 - o.arb_volume_2,
+            r1=r1, r2=r2, rev1=t1 * o.volume_1 / table.total_volume,
+        ))
     return results
 
 

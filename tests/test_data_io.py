@@ -32,6 +32,13 @@ class TestLoadTrades:
         trades = load_trades(p)
         assert trades == trace_of(("a2b", 10.0), ("b2a", 5.0))
 
+    def test_a_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a BOM
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"direction,amount_in\na2b,10\nb2a,5\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_trades(marked) == load_trades(plain)
+
     def test_spaces_around_unquoted_fields_are_padding(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(" direction ,\tamount_in\n a2b , 10 \n\tb2a\t,\t5\t\n")
@@ -160,6 +167,18 @@ class TestTrace:
         with pytest.raises(ValueError, match=message):
             Trace(a2b, array("d", amounts))
 
+    @pytest.mark.parametrize(
+        "a2b, amounts, message",
+        [(b"\x01\x00", array("f", [1.0, 2.0]), r"amounts must be an array\('d'\), got array\('f'\)"),
+         (b"\x01", [1.0], r"amounts must be an array\('d'\), got list"),
+         (bytearray(b"\x01"), array("d", [1.0]), "a2b must be bytes, got bytearray")],
+        ids=["float_amounts", "list_amounts", "bytearray_a2b"],
+    )
+    def test_constructor_checks_column_types(self, a2b, amounts, message):
+        # such columns compare equal to a Trace's own yet hash apart, or not at all
+        with pytest.raises(TypeError, match=message):
+            Trace(a2b, amounts)
+
     @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_constructor_rejects_non_finite_or_nonpositive_amount(self, amount):
         with pytest.raises(ValueError, match="amount_in must be finite and positive"):
@@ -232,6 +251,11 @@ class TestLoadConfig:
         assert cfg.deviation_threshold == 0.1
         assert cfg.seed == 0
         assert cfg.trace == "trades.csv"
+
+    def test_a_utf8_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
+        assert load_config(p).t2 == 0.167
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

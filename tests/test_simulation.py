@@ -677,6 +677,22 @@ class TestSweepTakeRate:
         assert all(s == pytest.approx(0.1, abs=1e-9) for s in steps)
         assert all(0.0 <= s.l1 <= 1.0 for s in curve.samples)
 
+    def test_one_result_is_built_per_take_rate(self, monkeypatch):
+        # the solve reads residuals from the cells and builds each sample once
+        built = []
+
+        class Counting(simulation.EquilibriumResult):
+            def __init__(self, **fields):
+                super().__init__(**fields)
+                built.append(self.t1)
+
+        monkeypatch.setattr(simulation, "EquilibriumResult", Counting)
+        trades = lognormal_trace(400, 20.0)
+        params = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
+        curve = sweep_take_rate(params, trades, 1e6, take_step=0.02, liquidity_step=0.02)
+        assert len(curve.samples) == 51
+        assert built == [s.t1 for s in curve.samples]
+
     def test_argmax_prefers_smaller_take_rate_on_ties(self):
         trades = lognormal_trace(200, 20.0)
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0, d=0.0, f=0.003)
