@@ -151,15 +151,35 @@ def load_trades(path: Union[str, Path]) -> Trace:
 
 
 def _rows(path: Path, reader) -> Iterator[list[str]]:
-    """The reader's rows; a csv.Error, which is no ValueError, becomes a TraceFormatError.
+    """The reader's rows; a csv.Error or a byte that is not UTF-8 becomes a TraceFormatError.
 
-    The csv module raises one for a field over csv.field_size_limit(), for
-    instance.
+    The csv module raises a csv.Error, which is no ValueError, for a field
+    over csv.field_size_limit(), for instance.
     """
     try:
         yield from reader
     except csv.Error as exc:
         raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {_not_utf8(path, exc)}") from None
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
+    """Which line of path holds its first byte that is not UTF-8, and why.
+
+    A text file decodes in chunks, so exc.start counts from its chunk; the
+    file's bytes are decoded again to find the byte.  Its line is the count
+    of line breaks before it plus 1, each of \r\n, \r and \n ending a line
+    as it does for the csv reader and for a text-mode file.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        before = data[:whole.start]
+        breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return f"line {breaks + 1}: not valid UTF-8: byte {data[whole.start]:#04x}: {whole.reason}"
+    return f"not valid UTF-8: {exc.reason}"  # the file changed since it was read
 
 
 def save_trades(path: Union[str, Path], trace: Trace) -> None:
@@ -206,21 +226,25 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     path = Path(path)
     raw: dict[str, str] = {}
     with path.open(encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            if not value:
-                raise ConfigError(f"{path}: line {lineno}: no value for key {key!r}")
-            raw[key] = value
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {_not_utf8(path, exc)}") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+        if not value:
+            raise ConfigError(f"{path}: line {lineno}: no value for key {key!r}")
+        raw[key] = value
 
     for key in _REQUIRED_KEYS:
         if key not in raw:

@@ -33,16 +33,18 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    which enter only the residual (1-t1)*f*vol1/L1*(1+d) - (1-t2)*f*vol2/L2
    and rev1 = t1*vol1/V, so the sweep labels the trace once and one solve
    runs every take rate over the same table: each split is replayed at most
-   once per sweep.  The solve fills the table in rounds.  Each round, every
-   take rate's bracket first moves past the cells already filled inside it,
-   then reads the two cells beside the crossing that both pools' volumes,
-   interpolated between the bracket's ends, predict; a lone search takes
-   about four rounds.  On a machine with two or more usable cores a round
-   long enough to pay for it forks one child, which replays every second new
-   cell of that round and is reaped before the round ends.  Without os.fork
-   or the cores, while another thread runs, on a short trace, or if a child
-   fails, every cell replays in this process; the result is the same.
-   Nothing needs configuring.
+   once per sweep.  The solve fills the table in rounds.  The first reads the
+   grid's two interior ends and, for each take rate, the two cells around the
+   closed form's equilibrium share, which usually hold the crossing.  Each
+   round, every take rate's bracket first moves past the cells already
+   filled inside it, then reads the two cells beside the crossing that both
+   pools' volumes, interpolated between the bracket's ends, predict; a lone
+   search usually takes one to three rounds.  On a machine with two or more
+   usable cores a round long enough to pay for it forks one child, which
+   replays every second new cell of that round and is reaped before the
+   round ends.  Without os.fork or the cores, while another thread runs, on
+   a short trace, or if a child fails, every cell replays in this process;
+   the result is the same.  Nothing needs configuring.
 
 Volumes are accounted in token-0 units; token-1 legs convert at the pool's
 pre-trade marginal price.  A pool's fee revenue is f times its volume, so
@@ -71,6 +73,7 @@ from typing import BinaryIO, Iterable, Optional, Sequence
 from .analytical import (
     EquilibriumResult,
     ModelParams,
+    _equilibrium_shares,
     check_L_total,
     check_step,
     check_sticky_rates,
@@ -544,9 +547,10 @@ class _CellTable:
     labelled trace, replays every second missing cell and writes the
     outcomes back, while this process replays the others; fill reaps the
     child before it returns or raises.  So on a long trace a lone search
-    forks its two-cell rounds too.  If the fork fails or the child dies or
-    replies badly, this process replays the child's cells too: the outcomes
-    are the same either way, and nothing carries over to the next round.
+    forks its rounds of two or four cells too.  If the fork fails or the
+    child dies or replies badly, this process replays the child's cells too:
+    the outcomes are the same either way, and nothing carries over to the
+    next round.
     """
 
     def __init__(
@@ -707,20 +711,28 @@ def _solve(
 
     Each take rate holds one bracket (lo, hi) of cell indices, and each round
     fills its new cells with one call to table.fill, so the table can replay
-    them side by side.  The first round fills cells 1 and m-1.  A take rate
-    whose residual is positive at m-1 closes on cell m, bracket (m, m), one
-    negative at 1 on (0, 0), and every other one narrows the open bracket
-    (1, m-1), the residual falling with the share.  Each round, every open
-    bracket first walks the filled cells strictly inside it in ascending
-    order: a positive residual moves lo, and the first other one becomes hi
-    and ends the walk.  Then each bracket still wider than one cell reads the
-    two cells beside the crossing of its residual with both pools' volumes
-    interpolated linearly between its ends (see probe), a new cell inside
-    every open bracket, and each closed one reads its cell; the loop ends
-    when a round finds nothing new.  The result is the end of the final
-    (lo, lo+1) with the smaller |residual|, ties within 1e-12 going to the
-    larger share (where the residual changes sign once, that does not depend
-    on which cells were read), or a closed bracket's cell.  rois is where a
+    them side by side.  The first round fills cells 1 and m-1 and, for each
+    take rate, the two cells c and c+1 around the share l1 the closed form
+    gives (analytical._equilibrium_shares), shares[c] <= l1 < shares[c+1],
+    clamped to 1..m-1; where every split is a closed-form equilibrium it adds
+    none.  On a market the closed form describes, those two cells usually
+    hold the simulated crossing, so the walk below closes the bracket on them
+    and a lone search ends after one to three rounds.  The closed form only
+    chooses which cells are read first: the walk, the probes and the final
+    rule are the same whatever it predicts.  A take rate whose residual is
+    positive at m-1 closes on cell m, bracket (m, m), one negative at 1 on
+    (0, 0), and every other one narrows the open bracket (1, m-1), the
+    residual falling with the share.  Each round, every open bracket first
+    walks the filled cells strictly inside it in ascending order: a positive
+    residual moves lo, and the first other one becomes hi and ends the walk.
+    Then each bracket still wider than one cell reads the two cells beside
+    the crossing of its residual with both pools' volumes interpolated
+    linearly between its ends (see probe), a new cell inside every open
+    bracket, and each closed one reads its cell; the loop ends when a round
+    finds nothing new.  The result is the end of the final (lo, lo+1) with
+    the smaller |residual|, ties within 1e-12 going to the larger share
+    (where the residual changes sign once, that does not depend on which
+    cells were read), or a closed bracket's cell.  rois is where a
     replay's volumes become fees: pool i earns f * volume_i, so
     r_i = (1-t_i) * f * volume_i / L_i, None for an empty pool.  Each take
     rate's EquilibriumResult is built once, after the loop, with
@@ -774,7 +786,12 @@ def _solve(
         return {(lo + hi) // 2}
 
     m = table.m
-    table.fill({1, m - 1})
+    first = {1, m - 1}
+    for l1 in _equilibrium_shares(t1s, params.t2, params.s1, params.s2, params.d):
+        if l1 is not None:  # None: every split is an equilibrium
+            c = bisect_right(shares, l1) - 1
+            first.update(min(max(i, 1), m - 1) for i in (c, c + 1))
+    table.fill(first)
     brackets = [
         (m, m) if residual(t1, m - 1) > 0.0 else (0, 0) if residual(t1, 1) < 0.0 else (1, m - 1)
         for t1 in t1s
@@ -830,9 +847,12 @@ def find_equilibrium(
     the result is l1 = 1 (full migration, a single-pool replay with
     r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual falls
     with the share, so the crossing is located by narrowing a bracket
-    instead of evaluating every cell (see _solve): about four rounds of two
-    cells each.  On two or more cores and a long trace those rounds
-    fork (see _CellTable); the result is the same.
+    instead of evaluating every cell (see _solve).  The first round reads
+    cells 1 and m-1 and the two cells around the closed-form share
+    (analytical.equilibrium_share), which usually hold the crossing, so a
+    search usually takes one to three rounds; the closed form chooses only
+    which cells are read, not the result.  On two or more cores and a long
+    trace those rounds fork (see _CellTable); the result is the same.
     """
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
     return _solve(params, (params.t1,), table)[0]

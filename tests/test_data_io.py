@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import pickle
+import re
 from array import array
 from dataclasses import replace
 
@@ -38,6 +39,20 @@ class TestLoadTrades:
         plain.write_bytes(b"direction,amount_in\na2b,10\nb2a,5\n")
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert load_trades(marked) == load_trades(plain)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        # the bad byte lies past the first chunk the text reader decodes, so
+        # its line is counted in the file, not in the chunk
+        p = tmp_path / "t.csv"
+        rows = b"a2b,10\n" * 2000
+        p.write_bytes(b"\xef\xbb\xbfdirection,amount_in\n" + rows + b"\xff\xfe,1\nb2a,5\n")
+        where = re.escape(f"{p}: line 2002: not valid UTF-8: byte 0xff")
+        with pytest.raises(TraceFormatError, match=f"^{where}"):
+            load_trades(p)
+        # lines end at \r\n, \r or \n, as for every other bad row
+        p.write_bytes(b"direction,amount_in\r\na2b,10\rb2a,5\n\xff\xfe,1\n")
+        with pytest.raises(TraceFormatError, match=": line 4: not valid UTF-8"):
+            load_trades(p)
 
     def test_spaces_around_unquoted_fields_are_padding(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -256,6 +271,16 @@ class TestLoadConfig:
         p = tmp_path / "c.cfg"
         p.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
         assert load_config(p).t2 == 0.167
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"\xef\xbb\xbf# caf\xe9\n" + MINIMAL.encode())
+        where = re.escape(f"{p}: line 1: not valid UTF-8: byte 0xe9")
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            load_config(p)
+        p.write_bytes(MINIMAL.encode() + b"\n# caf\xe9\n")  # MINIMAL spans lines 1-8
+        with pytest.raises(ConfigError, match=": line 9: not valid UTF-8"):
+            load_config(p)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

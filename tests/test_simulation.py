@@ -18,7 +18,13 @@ from dataclasses import replace
 import pytest
 
 from takerate import simulation
-from takerate.analytical import ModelParams, equilibrium_share, protocol_revenue, take_rate_grid
+from takerate.analytical import (
+    IndeterminateEquilibriumError,
+    ModelParams,
+    equilibrium_share,
+    protocol_revenue,
+    take_rate_grid,
+)
 from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
 from takerate.data_io import ConfigError, ScenarioConfig, SyntheticSpec, generate_trades
 from takerate.simulation import (
@@ -772,6 +778,32 @@ class TestSweepTakeRate:
         assert len([i for i in table.filled if 0 < i < table.m]) <= 49  # {0.02, ..., 0.98}
         assert {0, table.m} <= table.filled
 
+    def test_one_table_serves_any_t2_and_d(self):
+        # the closed form picks only which cells a solve reads first, and a
+        # cell does not depend on t2 or d: a table that one (t2, d) filled
+        # serves the next, sample for sample
+        trades = lognormal_trace(1500, 30.0)
+        base = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05, d=0.0, f=0.003)
+        table = simulation._CellTable(base, trades, 1e6, 0.01, 9, 0.1)
+        for t2, d in [(0.167, 0.0), (0.05, 0.1)]:
+            params = replace(base, t2=t2, d=d)
+            held = set(table.cells)
+            solved = simulation._solve(params, take_rate_grid(0.05), table)
+            assert set(table.cells) > held  # the table holds cells another solve read
+            assert tuple(solved) == sweep_take_rate(params, trades, 1e6, 0.05, 0.01, seed=9).samples
+
+    def test_a_take_rate_without_a_closed_form_share_seeds_no_cell(self, monkeypatch):
+        # with no loyal flow and d = 0, every split is a closed-form
+        # equilibrium at t1 = t2, which is on this grid; the sweep equals one
+        # whose first round reads cells 1 and m-1 alone
+        trades = lognormal_trace(400, 30.0)
+        params = ModelParams(t1=0.0, t2=0.5, s1=0.0, s2=0.0, d=0.0, f=0.003)
+        with pytest.raises(IndeterminateEquilibriumError):
+            equilibrium_share(replace(params, t1=0.5))
+        curve = sweep_take_rate(params, trades, 1e6, take_step=0.25, liquidity_step=0.02)
+        monkeypatch.setattr(simulation, "_equilibrium_shares", lambda t1s, *args: [None] * len(t1s))
+        assert sweep_take_rate(params, trades, 1e6, take_step=0.25, liquidity_step=0.02) == curve
+
     # loyal flow on both sides, a sticky fork with d > 0, and a dear
     # competitor; with s1 = s2 = 0 every crossing rate ties at t2
     CROSSING_SCENARIOS = [
@@ -910,7 +942,7 @@ def new_cells_per_round(monkeypatch):
 
 # the new cells of each of helper_sweep's rounds, and the rounds whose share
 # for the child reaches _FORK_MIN_WORK trade replays
-HELPER_ROUNDS = [2, 41, 25, 3]
+HELPER_ROUNDS = [40, 25]
 ROUNDS_THAT_FORK = sum(
     new // 2 * len(HELPER_TRADES) >= simulation._FORK_MIN_WORK for new in HELPER_ROUNDS
 )
@@ -924,14 +956,15 @@ def test_helper_sweep_fills_its_rounds(monkeypatch):
 
 
 def test_lone_search_rounds_and_replays(monkeypatch, tables):
-    # one search on a 10,000-trade sticky trace reads two cells a round,
-    # the last round one; the same on every machine, forked or not
+    # one search on a 10,000-trade sticky trace reads cells 1 and m-1 and the
+    # two cells around the closed form's share in its first round, and those
+    # two hold the crossing; the same on every machine, forked or not
     new_cells = new_cells_per_round(monkeypatch)
     trades = generate_trades(SyntheticSpec(n_trades=10_000, seed=7))
     eq = find_equilibrium(replace(HELPER_PARAMS, t1=0.27), trades, 2e6, seed=4)
     assert 0.0 < eq.l1 < 1.0
-    assert new_cells == [2, 2, 2, 1]
-    assert tables[0].replays == 7
+    assert new_cells == [4]
+    assert tables[0].replays == 4
 
 
 def assert_no_child():
@@ -1075,8 +1108,8 @@ class TestParallelSweep:
         parent = os.getpid()
 
         def fail_late(self, i):
-            # the parent stops in its own replays while a child runs
-            if os.getpid() == parent and children and len(self.cells) > 10:
+            # the parent stops in its own replays while the second round's child runs
+            if os.getpid() == parent and children and len(self.cells) > HELPER_ROUNDS[0]:
                 raise KeyboardInterrupt
             return replay(self, i)
 
