@@ -18,12 +18,11 @@ validation problems report the offending key or flag and exit nonzero.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analytical import equilibrium_curve, optimal_take_rate, take_rate_grid
 from .data_io import (
@@ -38,6 +37,9 @@ from .data_io import (
 )
 from .simulation import SweepCurve, TraceScaleError, sweep_take_rate
 from .svg import write_line_chart
+
+if TYPE_CHECKING:
+    import argparse
 
 # Share reported at an indeterminate grid point, where every split is an
 # equilibrium (the no-sticky tie t1 = t2); the midpoint marks indifference.
@@ -213,6 +215,8 @@ def cmd_gen_trace(spec: SyntheticSpec, out_path: str | Path) -> Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a command-line run needs it, not `import takerate.cli`
+
     parser = argparse.ArgumentParser(
         prog="takerate",
         description="Optimal take rates for competing constant-product pools.",

@@ -16,7 +16,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .analytical import ModelParams, check_L_total, check_step
 from .simulation import Trace, check_deviation_threshold, check_trade
@@ -111,57 +111,63 @@ def load_trades(path: Union[str, Path]) -> Trace:
     path = Path(path)
     a2b = bytearray()
     amounts = array("d")
+    push_a2b, push_amount, inf = a2b.append, amounts.append, math.inf
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        parser = csv.reader(handle)
-        reader = _rows(path, parser)
+        reader = csv.reader(handle)
+        # The csv module raises a csv.Error, which is no ValueError, for a
+        # field over csv.field_size_limit(), for instance.
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"{path}: empty file, expected header "
-                                   f"{','.join(TRACE_HEADER)}") from None
-        # spaces and tabs pad a field; a quoted line break is part of it
-        if [h.strip(" \t") for h in header] != TRACE_HEADER:
-            raise TraceFormatError(
-                f"{path}: line {parser.line_num}: expected header {','.join(TRACE_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        for row in reader:
-            lineno = parser.line_num
-            if not row:
-                continue
-            if len(row) != 2:
-                raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            direction, raw_amount = row[0].strip(" \t"), row[1].strip()
-            try:
-                amount = float(raw_amount)
-            except ValueError:
+            header = next(reader, None)
+            if header is None:
+                raise TraceFormatError(f"{path}: empty file, expected header "
+                                       f"{','.join(TRACE_HEADER)}")
+            # spaces and tabs pad a field; a quoted line break is part of it
+            if [h.strip(" \t") for h in header] != TRACE_HEADER:
                 raise TraceFormatError(
-                    f"{path}: line {lineno}: amount_in is not a number: {raw_amount!r}"
-                ) from None
-            try:
-                check_trade(direction, amount)
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
-            a2b.append(direction == "a2b")
-            amounts.append(amount)
+                    f"{path}: line {reader.line_num}: expected header {','.join(TRACE_HEADER)}, "
+                    f"got {','.join(header)}"
+                )
+            for row in reader:
+                # A bare row that passes check_trade's rule, copied inline, is
+                # taken at once; test_properties holds the copy to check_trade.
+                try:
+                    direction, raw_amount = row
+                    amount = float(raw_amount)
+                except ValueError:
+                    pass
+                else:
+                    if (direction == "a2b" or direction == "b2a") and 0.0 < amount < inf:
+                        push_a2b(direction == "a2b")
+                        push_amount(amount)
+                        continue
+                # Any other row gets every check in turn.  str.strip() also
+                # removes \x1c-\x1f, which float() does not.
+                if not row:
+                    continue
+                lineno = reader.line_num
+                if len(row) != 2:
+                    raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+                direction, raw_amount = row[0].strip(" \t"), row[1].strip()
+                try:
+                    amount = float(raw_amount)
+                except ValueError:
+                    raise TraceFormatError(
+                        f"{path}: line {lineno}: amount_in is not a number: {raw_amount!r}"
+                    ) from None
+                try:
+                    check_trade(direction, amount)
+                except ValueError as exc:
+                    raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
+                push_a2b(direction == "a2b")
+                push_amount(amount)
+        except csv.Error as exc:
+            raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: {_not_utf8(path, exc)}") from None
     if not amounts:
         warnings.warn(f"trace file {path} contains no trades")
-    # every row passed check_trade above
+    # every row passed check_trade's rule above
     return Trace._of_checked(bytes(a2b), amounts)
-
-
-def _rows(path: Path, reader) -> Iterator[list[str]]:
-    """The reader's rows; a csv.Error or a byte that is not UTF-8 becomes a TraceFormatError.
-
-    The csv module raises a csv.Error, which is no ValueError, for a field
-    over csv.field_size_limit(), for instance.
-    """
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"{path}: {_not_utf8(path, exc)}") from None
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> str:

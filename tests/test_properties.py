@@ -1,18 +1,23 @@
-"""Property tests: trace files round-trip, closed-form outputs stay in range,
-the float-level scan equals its one-dataclass-per-point reference, sticky
+"""Property tests: trace files round-trip, the trace loader equals a reader
+that checks every row in full, closed-form outputs stay in range, the
+float-level scan equals its one-dataclass-per-point reference, sticky
 labels follow the size-ordered prefix rule and equal that rule written out
 by sorting every trade, the two-pool replay kernel makes the decisions
-of the cpmm-composed reference replay, and the equilibrium search's round
-loop finds a crossing of the residual, on real replays and on any residuals.
+of the cpmm-composed reference replay, the equilibrium search's round
+loop finds a crossing of the residual, on real replays and on any residuals,
+and a sweep scaled by a power of two is the same sweep, volumes scaled.
 
 Hypothesis runs derandomized with a small example budget, so the suite stays
 deterministic and fast; the strategies cover every value the validators
 accept, boundaries included.
 """
 
+import csv
 import math
 import random
 import tempfile
+import warnings
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,8 +36,22 @@ from takerate.analytical import (
 )
 from takerate import simulation
 from takerate.cpmm import PoolState
-from takerate.data_io import SyntheticSpec, generate_trades, load_trades, save_trades
-from takerate.simulation import SimOutcome, assign_sticky, find_equilibrium, replay_trades
+from takerate.data_io import (
+    TRACE_HEADER,
+    SyntheticSpec,
+    TraceFormatError,
+    generate_trades,
+    load_trades,
+    save_trades,
+)
+from takerate.simulation import (
+    SimOutcome,
+    Trace,
+    assign_sticky,
+    check_trade,
+    find_equilibrium,
+    replay_trades,
+)
 import test_simulation
 from traces import trace_of
 
@@ -73,6 +92,117 @@ def test_trace_round_trips_through_csv(trace):
         path = Path(tmp) / "trace.csv"
         save_trades(path, trace)
         assert load_trades(path) == trace
+
+
+def load_checking_every_row(path):
+    """load_trades' rule, every row in full: strip each field, then float, then check_trade."""
+    a2b, amounts = bytearray(), array("d")
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise TraceFormatError(f"{path}: empty file, expected header direction,amount_in")
+            if [h.strip(" \t") for h in header] != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"{path}: line {reader.line_num}: expected header direction,amount_in, "
+                    f"got {','.join(header)}"
+                )
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise TraceFormatError(f"{where}: expected 2 fields, got {len(row)}")
+                direction, raw_amount = row[0].strip(" \t"), row[1].strip()
+                try:
+                    amount = float(raw_amount)
+                except ValueError:
+                    raise TraceFormatError(f"{where}: amount_in is not a number: {raw_amount!r}") from None
+                try:
+                    check_trade(direction, amount)
+                except ValueError as exc:
+                    raise TraceFormatError(f"{where}: {exc}") from None
+                a2b.append(direction == "a2b")
+                amounts.append(amount)
+        except csv.Error as exc:
+            raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not amounts:
+        warnings.warn(f"trace file {path} contains no trades")
+    return Trace(bytes(a2b), amounts)  # the constructor checks every trade again
+
+
+def loaded(load, path):
+    """What load gives for path: its Trace or its TraceFormatError's text, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except TraceFormatError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def quoted(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+# padded, underscored, signed, out-of-range and non-numeric amounts; \x1c-\x1f
+# are whitespace to str.strip() but not to float()
+tricky_amounts = st.sampled_from([
+    "7", " 7 ", "\t7\t", "\x1c7\x1c", "7\x1f", "\x0b7\x0c", "\xa07", "1_000", "1__0", "1e309",
+    "1e-400", "5e-324", "-0.0", "0", "0.0", "-1", "nan", "-inf", "inf", "Infinity", "", " ", "x",
+    "0x10", "7\n", "\n7", "7,5", '"7"', "\x00",
+])
+directions = st.sampled_from([
+    "a2b", "b2a", " a2b", "b2a ", "\ta2b\t", "a2b\x1c", "\xa0b2a", "A2B", "a2b\n", "", "x", "\x00",
+])
+amount_fields = st.one_of(
+    tricky_amounts,
+    st.floats().map(repr),
+    st.floats(min_value=1e-6, max_value=1e6).map(lambda x: f"{x:.17g}"),
+    st.text(alphabet="0123456789.e-+_ \t\x1cna", max_size=8),
+)
+field_lists = st.one_of(
+    st.tuples(directions, amount_fields).map(list),
+    st.lists(st.one_of(directions, amount_fields), max_size=3),
+)
+
+
+@st.composite
+def trace_files(draw):
+    """The text of a trace CSV: padded, quoted and broken rows among good ones."""
+    header = draw(st.sampled_from(["direction,amount_in", " direction ,\tamount_in", "amount_in,direction"]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [header + draw(ends)]
+    for fields in draw(st.lists(field_lists, max_size=8)):
+        fields = [quoted(f) if draw(st.booleans()) else f for f in fields]
+        lines.append(",".join(fields) + draw(ends))
+    return "".join(lines)
+
+
+HEADER = "direction,amount_in\n"
+
+
+@settings(PROPERTY, max_examples=300)
+@given(trace_files())
+@example(HEADER + "a2b,\x1c7\x1c\nb2a, 7 \n")  # padded amounts
+@example(HEADER + " a2b ,7\n\tb2a\t,8\n")  # padded directions
+@example(HEADER + "a2b,1_000\n")
+@example(HEADER + "a2b,1e309\n")
+@example(HEADER + "b2a,-0.0\n")
+@example(HEADER + "a2b,3\n\n\nb2a,4\n")  # blank lines
+@example(HEADER + "a2b,3,4\n")  # three fields
+@example(HEADER + '"a2b\n",1\nb2a,-5\n')  # a quoted line break
+@example(HEADER + 'a2b,"1\n"\nb2a,"\n2"\n')
+@example(HEADER + "a2b\n")  # one field
+@example("")
+@example(HEADER)
+def test_trace_loader_equals_a_reader_that_checks_every_row(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert loaded(load_trades, path) == loaded(load_checking_every_row, path)
 
 
 @PROPERTY
@@ -390,3 +520,36 @@ def test_round_loop_narrows_every_bracket_on_any_residuals(stub):
         i = shares.index(result.l1)
         assert at_a_crossing(res, m, i)
         assert i in (lo, hi) if lo is not None else i in (0, m)
+
+
+@st.composite
+def sticky_sweeps(draw):
+    """A short trace and a sticky market with pools large enough for interior equilibria."""
+    trace = draw(traces(st.floats(min_value=1.0, max_value=1e3), min_size=5, max_size=40))
+    rate = st.floats(min_value=0.05, max_value=0.45)
+    params = ModelParams(
+        t1=0.0, t2=draw(st.floats(min_value=0.0, max_value=0.5)), s1=draw(rate), s2=draw(rate),
+        d=draw(st.floats(min_value=0.0, max_value=0.2)),
+        f=draw(st.sampled_from([0.0005, 0.003, 0.01])),
+    )
+    L_total = draw(st.sampled_from([1e5, 1e6]))
+    step = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    return trace, params, L_total, step
+
+
+@PROPERTY
+@given(sticky_sweeps())
+def test_a_sweep_scaled_by_a_power_of_two_is_the_same_sweep(sweep):
+    # CPMM math is homogeneous and every replay threshold scales with the
+    # reserves, so scaling every trade and L_total by 2**k, which is exact,
+    # scales the volumes and leaves every share, ROI and revenue as it was.
+    # Every scale here passes _check_scale.
+    trace, params, L_total, step = sweep
+    plain = simulation.sweep_take_rate(params, trace, L_total, 0.1, step).samples
+    for k in range(-4, 11):
+        factor = 2.0 ** k
+        scaled = Trace(trace.a2b, array("d", [a * factor for a in trace.amounts]))
+        samples = simulation.sweep_take_rate(params, scaled, L_total * factor, 0.1, step).samples
+        for s, p in zip(samples, plain, strict=True):
+            assert (s.t1, s.l1, s.rev1, s.r1, s.r2) == (p.t1, p.l1, p.rev1, p.r1, p.r2), k
+            assert (s.v1, s.v2) == (p.v1 * factor, p.v2 * factor), k

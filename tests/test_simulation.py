@@ -26,7 +26,14 @@ from takerate.analytical import (
     take_rate_grid,
 )
 from takerate.cpmm import PoolState, arbitrage, execute_swap, optimal_split, quote
-from takerate.data_io import ConfigError, ScenarioConfig, SyntheticSpec, generate_trades
+from takerate.data_io import (
+    ConfigError,
+    ScenarioConfig,
+    SyntheticSpec,
+    generate_trades,
+    load_trades,
+    save_trades,
+)
 from takerate.simulation import (
     SimOutcome,
     Trace,
@@ -589,6 +596,29 @@ class TestCellTableMemory:
         assert peak <= 64 * len(trades)
         assert table.trace is trades and table.labels == assign_sticky(trades, 0.1, 0.05, 7)
 
+
+class TestLoadTradesMemory:
+    def test_a_loaded_trace_holds_its_two_columns_only(self, tmp_path):
+        # The loader appends each row to the bytearray and the array('d') of
+        # its Trace, 9 bytes per trade plus the array's spare room; the
+        # bytearray is copied once into bytes at the end.  A list of csv rows
+        # would peak above 100 bytes per trade.
+        path = tmp_path / "trace.csv"
+        save_trades(path, lognormal_trace(20_000, 50.0))
+        load_trades(path)  # a first load imports the utf-8-sig codec, about 1 byte per trade here
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trades = load_trades(path)
+            retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert retained <= 10 * len(trades)
+        assert peak <= 16 * len(trades)
+        assert trades == lognormal_trace(20_000, 50.0)
 
 class HiddenCellTable:
     """A stub _CellTable with L_total = f = V = 1: fill moves cells out of a hidden store.
