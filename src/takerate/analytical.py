@@ -9,8 +9,10 @@ quadratic in pool 1's liquidity share l1; this module solves it, evaluates
 the protocol revenue rev1 = t1*(s1 + (1-s1-s2)*l1) and locates the revenue
 maximizing take rate, in closed form when s2 = 0 and numerically otherwise.
 
-Revenue is reported in normalized units: the constant factor V*f is divided
-out, so rev1 is directly comparable across scenarios.
+Every quantity is normalized, so none depends on V or the total liquidity
+L_total: volumes are shares of V, ROIs have the factor V/L_total divided
+out, and revenue has V*f divided out.  The share, the revenue and the
+optimal take rate are therefore directly comparable across scenarios.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ _SCAN_STEP = 0.001
 # rather than by exhausting memory; 1e-5 is the finest step accepted.
 _MAX_GRID_STEPS = 100_000
 
-_INDETERMINATE = (
-    "every liquidity split satisfies the balance condition "
-    "(no sticky volume and matched take-rate attractiveness)"
-)
-
-
 class IndeterminateEquilibriumError(ValueError):
     """Every liquidity split is an equilibrium; no unique share exists."""
 
@@ -57,7 +53,9 @@ class ModelParams:
 
     t1/t2 are the pools' take rates, s1/s2 their sticky volume shares
     (s1 + s2 <= 1), d the ROI advantage LPs demand before leaving pool 1,
-    f the trading fee both pools charge, V the total trade volume.
+    f the trading fee both pools charge.  There is no scale: the closed
+    form works in shares of V with V/L_total divided out of the ROIs, and
+    the simulation takes V from its trace and L_total as an argument.
     """
 
     t1: float
@@ -66,10 +64,9 @@ class ModelParams:
     s2: float = 0.0
     d: float = 0.0
     f: float = 0.003
-    V: float = 1.0
 
     def __post_init__(self) -> None:
-        # The range checks also reject NaN and inf; d and V need their own.
+        # The range checks also reject NaN and inf; d needs its own.
         for name in ("t1", "t2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -81,10 +78,6 @@ class ModelParams:
             raise ValueError(f"d must be nonnegative, got {self.d}")
         if not 0.0 <= self.f < 1.0:
             raise ValueError(f"f must lie in [0, 1), got {self.f}")
-        if not math.isfinite(self.V):
-            raise ValueError(f"V must be finite, got {self.V}")
-        if self.V <= 0.0:
-            raise ValueError(f"V must be positive, got {self.V}")
 
 
 def check_sticky_rates(s1: float, s2: float) -> None:
@@ -101,11 +94,13 @@ def check_sticky_rates(s1: float, s2: float) -> None:
 class EquilibriumResult:
     """Liquidity equilibrium at take rate t1 and the quantities that follow.
 
-    This is also one sample of a take-rate curve.  v1/v2 are the pools'
-    volumes: here the V-scaled shares of pool_volumes, in the simulation the
-    replayed token-0 volumes excluding arbitrage legs.  r1/r2 are None when
-    the corresponding pool is empty (l1 at 0 or 1), where an ROI is
-    undefined.  rev1 is normalized protocol revenue (V*f factored out).
+    This is also one sample of a take-rate curve.  In the closed form v1/v2
+    are the pools' volumes as shares of V and r1/r2 the LP ROIs with
+    V/L_total divided out; in the simulation v1/v2 are the replayed token-0
+    volumes excluding arbitrage legs and r1/r2 the ROIs over the trace.
+    r1/r2 are None when the corresponding pool is empty (l1 at 0 or 1),
+    where an ROI is undefined.  rev1 is normalized protocol revenue (V*f
+    divided out) in both.
     """
 
     t1: float
@@ -118,25 +113,20 @@ class EquilibriumResult:
 
 
 def pool_volumes(params: ModelParams, l1: float) -> tuple[float, float]:
-    """Volume executed per pool: sticky share plus pro-rata routed share."""
+    """Each pool's volume as a share of V: sticky share plus pro-rata routed share."""
     if not 0.0 <= l1 <= 1.0:
         raise ValueError("l1 must lie in [0, 1]")
     routed = 1.0 - params.s1 - params.s2
-    v1 = (params.s1 + routed * l1) * params.V
-    v2 = (params.s2 + routed * (1.0 - l1)) * params.V
-    return v1, v2
+    return params.s1 + routed * l1, params.s2 + routed * (1.0 - l1)
 
 
-def lp_roi(params: ModelParams, l1: float, L_total: float) -> tuple[float, float]:
-    """LP return on investment per pool: r_i = (1-t_i)*v_i*f / L_i."""
-    check_L_total(L_total)
-    if not 0.0 <= l1 <= 1.0:
-        raise ValueError("l1 must lie in [0, 1]")
+def lp_roi(params: ModelParams, l1: float) -> tuple[float, float]:
+    """LP return on investment per pool, r_i = (1-t_i)*f*v_i/l_i (V/L_total divided out)."""
     if l1 == 0.0 or l1 == 1.0:
         raise DegeneratePoolError("ROI is undefined for an empty pool (l1 at 0 or 1)")
     v1, v2 = pool_volumes(params, l1)
-    r1 = (1.0 - params.t1) * v1 * params.f / (l1 * L_total)
-    r2 = (1.0 - params.t2) * v2 * params.f / ((1.0 - l1) * L_total)
+    r1 = (1.0 - params.t1) * v1 * params.f / l1
+    r2 = (1.0 - params.t2) * v2 * params.f / (1.0 - l1)
     return r1, r2
 
 
@@ -153,13 +143,10 @@ def equilibrium_share(params: ModelParams) -> float:
     (1-t2) - (1+d)*(1-t1) is negative, the smaller one when positive.  When
     den vanishes (matched fee attractiveness, or all volume sticky) the
     balance equation is linear and solved directly; if it is degenerate as
-    well, every split is an equilibrium and an error is raised.  This is the
-    one-point case of _equilibrium_shares, which solves a whole take-rate grid.
+    well, every split is an equilibrium and solve_equilibrium, whose share
+    this is, raises.
     """
-    (l1,) = _equilibrium_shares((params.t1,), params.t2, params.s1, params.s2, params.d)
-    if l1 is None:
-        raise IndeterminateEquilibriumError(_INDETERMINATE)
-    return l1
+    return solve_equilibrium(params).l1
 
 
 def _equilibrium_shares(
@@ -230,8 +217,8 @@ def revenue_at(params: ModelParams, l1: float) -> float:
 
 
 def protocol_revenue(params: ModelParams) -> float:
-    """Normalized protocol revenue at the equilibrium share."""
-    return revenue_at(params, equilibrium_share(params))
+    """Normalized protocol revenue at the equilibrium share, solve_equilibrium's rev1."""
+    return solve_equilibrium(params).rev1
 
 
 def check_L_total(L_total: float) -> None:
@@ -353,7 +340,6 @@ def optimal_take_rate(params: ModelParams) -> tuple[float, float]:
 
 def equilibrium_curve(
     params: ModelParams,
-    L_total: float,
     t1s: Sequence[float],
     indeterminate_share: Optional[float] = None,
 ) -> list[Optional[EquilibriumResult]]:
@@ -362,7 +348,7 @@ def equilibrium_curve(
     This is the one place the closed-form curve is computed.  The shares come
     from one _equilibrium_shares pass, and v1/v2, r1/r2 and rev1 from the
     expressions of pool_volumes, lp_roi and revenue_at, so each sample equals
-    solve_equilibrium(replace(params, t1=t1), L_total) field for field
+    solve_equilibrium(replace(params, t1=t1)) field for field
     without a ModelParams per point.  A take rate where every split is an
     equilibrium gives None, or the sample at indeterminate_share if given.
     """
@@ -371,8 +357,7 @@ def equilibrium_curve(
             raise ValueError(f"t1 must lie in [0, 1], got {t1}")
     if indeterminate_share is not None and not 0.0 <= indeterminate_share <= 1.0:
         raise ValueError(f"indeterminate_share must lie in [0, 1], got {indeterminate_share}")
-    check_L_total(L_total)
-    s1, s2, f, V = params.s1, params.s2, params.f, params.V
+    s1, s2, f = params.s1, params.s2, params.f
     routed = 1.0 - s1 - s2
     one_t2 = 1.0 - params.t2
     samples: list[Optional[EquilibriumResult]] = []
@@ -382,26 +367,30 @@ def equilibrium_curve(
                 samples.append(None)
                 continue
             l1 = indeterminate_share
-        held = s1 + routed * l1  # pool 1's share of V
-        v1 = held * V
-        v2 = (s2 + routed * (1.0 - l1)) * V
+        v1 = s1 + routed * l1
+        v2 = s2 + routed * (1.0 - l1)
         if 0.0 < l1 < 1.0:
-            r1 = (1.0 - t1) * v1 * f / (l1 * L_total)
-            r2 = one_t2 * v2 * f / ((1.0 - l1) * L_total)
+            r1 = (1.0 - t1) * v1 * f / l1
+            r2 = one_t2 * v2 * f / (1.0 - l1)
         else:
             r1 = r2 = None
         samples.append(
-            EquilibriumResult(t1=t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=t1 * held)
+            EquilibriumResult(t1=t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=t1 * v1)
         )
     return samples
 
 
-def solve_equilibrium(params: ModelParams, L_total: float) -> EquilibriumResult:
+def solve_equilibrium(params: ModelParams) -> EquilibriumResult:
     """Bundle share, volumes, ROIs and revenue for one parameter set.
 
-    The one-point case of equilibrium_curve; raises where equilibrium_share does.
+    The one-point case of equilibrium_curve, and the one point evaluation:
+    equilibrium_share and protocol_revenue read its l1 and rev1.  Raises
+    IndeterminateEquilibriumError where every split is an equilibrium.
     """
-    (result,) = equilibrium_curve(params, L_total, (params.t1,))
+    (result,) = equilibrium_curve(params, (params.t1,))
     if result is None:
-        raise IndeterminateEquilibriumError(_INDETERMINATE)
+        raise IndeterminateEquilibriumError(
+            "every liquidity split satisfies the balance condition "
+            "(no sticky volume and matched take-rate attractiveness)"
+        )
     return result

@@ -71,7 +71,7 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def _analytic_curve(config: ScenarioConfig, t1s: Sequence[float]) -> SweepCurve:
-    samples = equilibrium_curve(config.params, config.L_total, t1s, _INDETERMINATE_SHARE)
+    samples = equilibrium_curve(config.params, t1s, _INDETERMINATE_SHARE)
     return SweepCurve(samples=tuple(samples))
 
 

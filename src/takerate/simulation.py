@@ -567,7 +567,7 @@ class _CellTable:
         check_step("liquidity_step", liquidity_step)
         check_deviation_threshold(deviation_threshold)
         if params.f <= 0.0:
-            raise ValueError("the simulation needs a positive trading fee to compare ROIs")
+            raise ValueError(f"f must be positive to simulate, got {params.f}")
         self.shares = unit_grid(liquidity_step)
         self.m = len(self.shares) - 1
         self.L_total = L_total

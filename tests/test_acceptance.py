@@ -266,12 +266,12 @@ def test_criterion_9_invariant_suite():
         s2 = rng.uniform(0.0, min(0.45, 1.0 - s1))
         params = ModelParams(
             t1=rng.uniform(0.0, 0.9), t2=rng.uniform(0.0, 0.9),
-            s1=s1, s2=s2, d=rng.choice([0.0, 0.1, 0.3]), f=0.003, V=1000.0,
+            s1=s1, s2=s2, d=rng.choice([0.0, 0.1, 0.3]), f=0.003,
         )
         l1 = equilibrium_share(params)
         if not 0.0 < l1 < 1.0:
             continue
-        r1, r2 = lp_roi(params, l1, 1e6)
+        r1, r2 = lp_roi(params, l1)
         assert abs(r1 * (1.0 + params.d) - r2) / r2 < 1e-9
         checked += 1
 

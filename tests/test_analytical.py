@@ -57,29 +57,29 @@ def oracle_share(t1, t2, s1, s2, d):
 
 class TestPoolVolumes:
     def test_pure_proportional(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, V=100.0)
-        assert pool_volumes(params, 0.3) == (pytest.approx(30.0), pytest.approx(70.0))
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0)
+        assert pool_volumes(params, 0.3) == (pytest.approx(0.3), pytest.approx(0.7))
 
     def test_only_sticky_reaches_empty_pool(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0, V=100.0)
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0)
         v1, v2 = pool_volumes(params, 0.0)
-        assert v1 == pytest.approx(10.0)
-        assert v2 == pytest.approx(90.0)
+        assert v1 == pytest.approx(0.1)
+        assert v2 == pytest.approx(0.9)
 
     def test_mixed_sticky(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.05, V=1000.0)
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.05)
         v1, v2 = pool_volumes(params, 0.5)
-        assert v1 == pytest.approx(525.0)
-        assert v2 == pytest.approx(475.0)
+        assert v1 == pytest.approx(0.525)
+        assert v2 == pytest.approx(0.475)
 
     def test_volumes_sum_to_total(self):
         rng = random.Random(2)
         for _ in range(100):
             s1 = rng.uniform(0.0, 0.6)
             s2 = rng.uniform(0.0, 1.0 - s1)
-            params = ModelParams(t1=0.2, t2=0.1, s1=s1, s2=s2, V=rng.uniform(1.0, 1e6))
+            params = ModelParams(t1=0.2, t2=0.1, s1=s1, s2=s2)
             v1, v2 = pool_volumes(params, rng.random())
-            assert v1 + v2 == pytest.approx(params.V, rel=1e-9)
+            assert v1 + v2 == pytest.approx(1.0, rel=1e-9)
 
     def test_out_of_range_share_rejected(self):
         params = ModelParams(t1=0.0, t2=0.0, s1=0.0)
@@ -89,39 +89,23 @@ class TestPoolVolumes:
 
 class TestLpRoi:
     def test_equal_when_no_take_rates(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, f=0.003, V=100.0)
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, f=0.003)
         for l1 in (0.2, 0.5, 0.9):
-            r1, r2 = lp_roi(params, l1, 1000.0)
-            assert r1 == pytest.approx(100.0 * 0.003 / 1000.0, rel=1e-12)
+            r1, r2 = lp_roi(params, l1)
+            assert r1 == pytest.approx(0.003, rel=1e-12)
             assert r2 == pytest.approx(r1, rel=1e-12)
 
     def test_take_rate_halves_roi(self):
-        params = ModelParams(t1=0.5, t2=0.0, s1=0.0, s2=0.0, f=0.003, V=100.0)
-        r1, r2 = lp_roi(params, 0.5, 1000.0)
-        assert r1 == pytest.approx(1.5e-4, rel=1e-12)
-        assert r2 == pytest.approx(3.0e-4, rel=1e-12)
-
-    def test_doubling_liquidity_halves_roi(self):
-        params = ModelParams(t1=0.1, t2=0.0, s1=0.1, s2=0.05, f=0.01, V=500.0)
-        r1, r2 = lp_roi(params, 0.4, 1000.0)
-        r1_big, r2_big = lp_roi(params, 0.4, 2000.0)
-        assert r1_big == pytest.approx(r1 / 2.0, rel=1e-12)
-        assert r2_big == pytest.approx(r2 / 2.0, rel=1e-12)
+        params = ModelParams(t1=0.5, t2=0.0, s1=0.0, s2=0.0, f=0.003)
+        r1, r2 = lp_roi(params, 0.5)
+        assert r1 == pytest.approx(1.5e-3, rel=1e-12)
+        assert r2 == pytest.approx(3.0e-3, rel=1e-12)
 
     def test_degenerate_share_rejected(self):
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1)
         for l1 in (0.0, 1.0):
             with pytest.raises(DegeneratePoolError):
-                lp_roi(params, l1, 1000.0)
-
-    @pytest.mark.parametrize(
-        "L_total, problem", [(math.nan, "finite"), (math.inf, "finite"), (0.0, "positive")]
-    )
-    def test_L_total_must_be_finite_and_positive(self, L_total, problem):
-        # NaN and inf used to run: inf gave r1 = r2 = 0.0
-        params = ModelParams(t1=0.2, t2=0.0, s1=0.1)
-        with pytest.raises(ValueError, match=f"L_total must be {problem}, got {L_total}"):
-            lp_roi(params, 0.4, L_total)
+                lp_roi(params, l1)
 
 
 class TestEquilibriumShare:
@@ -212,12 +196,11 @@ class TestEquilibriumShare:
                 s2=s2,
                 d=rng.choice([0.0, 0.1, 0.3]),
                 f=0.003,
-                V=1000.0,
             )
             l1 = equilibrium_share(params)
             if not 0.0 < l1 < 1.0:
                 continue
-            r1, r2 = lp_roi(params, l1, 1e6)
+            r1, r2 = lp_roi(params, l1)
             assert abs(r1 * (1.0 + params.d) - r2) / r2 < 1e-9
             checked += 1
 
@@ -343,50 +326,48 @@ class TestBranchContinuity:
 
 class TestSolveEquilibrium:
     def test_bundles_consistent_quantities(self):
-        params = ModelParams(t1=0.2, t2=0.0, s1=0.1, s2=0.0, d=0.0, f=0.003, V=1000.0)
-        res = solve_equilibrium(params, L_total=1e6)
+        params = ModelParams(t1=0.2, t2=0.0, s1=0.1, s2=0.0, d=0.0, f=0.003)
+        res = solve_equilibrium(params)
         assert isinstance(res, EquilibriumResult)
         assert res.l1 == pytest.approx(4.0 / 9.0, rel=1e-12)
-        assert res.v1 + res.v2 == pytest.approx(1000.0, rel=1e-9)
+        assert res.v1 + res.v2 == pytest.approx(1.0, rel=1e-9)
         assert res.r1 is not None and res.r2 is not None
         assert res.r1 * (1.0 + params.d) == pytest.approx(res.r2, rel=1e-9)
         assert res.rev1 == pytest.approx(0.1, rel=1e-9)
 
     def test_boundary_has_no_roi(self):
         params = ModelParams(t1=0.05, t2=0.0, s1=0.1, s2=0.0, d=0.0)
-        res = solve_equilibrium(params, L_total=1e6)
+        res = solve_equilibrium(params)
         assert res.l1 == 1.0
         assert res.r1 is None and res.r2 is None
 
 
-def point_sample(params, L_total, l1):
+def point_sample(params, l1):
     """One curve sample at share l1, from the per-point public functions."""
     v1, v2 = pool_volumes(params, l1)
-    r1, r2 = lp_roi(params, l1, L_total) if 0.0 < l1 < 1.0 else (None, None)
+    r1, r2 = lp_roi(params, l1) if 0.0 < l1 < 1.0 else (None, None)
     return EquilibriumResult(
         t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
     )
 
 
 class TestEquilibriumCurve:
-    L_TOTAL = 2e6
-
     def assert_pointwise(self, params, t1s):
         """Each sample == the per-point solve, field for field, or None where it raises."""
-        curve = equilibrium_curve(params, self.L_TOTAL, t1s)
+        curve = equilibrium_curve(params, t1s)
         assert len(curve) == len(t1s)
         nones = 0
         for t1, sample in zip(t1s, curve):
             point = replace(params, t1=t1)
             try:
-                expected = solve_equilibrium(point, self.L_TOTAL)
+                expected = solve_equilibrium(point)
             except IndeterminateEquilibriumError:
                 assert sample is None
                 nones += 1
                 continue
             # dataclass == compares every field with ==, floats exactly
             assert sample == expected
-            assert sample == point_sample(point, self.L_TOTAL, equilibrium_share(point))
+            assert sample == point_sample(point, equilibrium_share(point))
         return curve, nones
 
     def test_random_params_equal_per_point_solves(self):
@@ -397,7 +378,6 @@ class TestEquilibriumCurve:
             params = ModelParams(
                 t1=rng.random(), t2=rng.uniform(0.0, 0.5), s1=s1, s2=s2,
                 d=rng.choice([0.0, rng.uniform(0.0, 0.5)]), f=rng.uniform(0.001, 0.01),
-                V=rng.uniform(1.0, 1e4),
             )
             t1s = take_rate_grid(0.01) + [rng.random() for _ in range(20)]
             _, nones = self.assert_pointwise(params, t1s)
@@ -437,10 +417,10 @@ class TestEquilibriumCurve:
         curve, nones = self.assert_pointwise(params, t1s)
         assert nones == 1 and curve[1] is None
         with pytest.raises(IndeterminateEquilibriumError):
-            solve_equilibrium(replace(params, t1=0.167), self.L_TOTAL)
+            solve_equilibrium(replace(params, t1=0.167))
         # a given share fills the tie, and only the tie
-        filled = equilibrium_curve(params, self.L_TOTAL, t1s, indeterminate_share=0.5)
-        assert filled[1] == point_sample(replace(params, t1=0.167), self.L_TOTAL, 0.5)
+        filled = equilibrium_curve(params, t1s, indeterminate_share=0.5)
+        assert filled[1] == point_sample(replace(params, t1=0.167), 0.5)
         assert [filled[0], filled[2]] == [curve[0], curve[2]]
 
     def test_builds_no_model_params(self, monkeypatch):
@@ -453,25 +433,14 @@ class TestEquilibriumCurve:
             validate(self)
 
         monkeypatch.setattr(ModelParams, "__post_init__", counting)
-        equilibrium_curve(params, self.L_TOTAL, take_rate_grid(0.01))
+        equilibrium_curve(params, take_rate_grid(0.01))
         assert calls == []
-
-    @pytest.mark.parametrize(
-        "L_total, problem", [(math.nan, "finite"), (math.inf, "finite"), (-1.0, "positive")]
-    )
-    def test_L_total_must_be_finite_and_positive(self, L_total, problem):
-        # NaN used to run: solve_equilibrium returned r1 = r2 = nan
-        params = ModelParams(t1=0.2, t2=0.0, s1=0.1)
-        with pytest.raises(ValueError, match=f"L_total must be {problem}, got {L_total}"):
-            equilibrium_curve(params, L_total, [0.1, 0.2])
-        with pytest.raises(ValueError, match=f"L_total must be {problem}, got {L_total}"):
-            solve_equilibrium(params, L_total)
 
     @pytest.mark.parametrize("t1", [-0.1, 1.5, math.nan])
     def test_take_rate_outside_unit_interval_rejected(self, t1):
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1)
         with pytest.raises(ValueError, match="t1 must lie in"):
-            equilibrium_curve(params, self.L_TOTAL, [0.5, t1])
+            equilibrium_curve(params, [0.5, t1])
 
 
 class TestModelParamsValidation:
@@ -487,11 +456,7 @@ class TestModelParamsValidation:
         with pytest.raises(ValueError):
             ModelParams(t1=0.0, t2=0.0, s1=0.0, f=1.0)
 
-    def test_volume_positive(self):
-        with pytest.raises(ValueError):
-            ModelParams(t1=0.0, t2=0.0, s1=0.0, V=0.0)
-
-    @pytest.mark.parametrize("field", ["d", "V"])
+    @pytest.mark.parametrize("field", ["d"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):

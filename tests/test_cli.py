@@ -277,6 +277,14 @@ class TestErrors:
         assert err.startswith("error: ") and "size_mu" in err and "L_total" in err
         assert not out.exists()
 
+    def test_zero_fee_names_f(self, tmp_path, capsys):
+        # analyze accepts f = 0, but simulate compares ROIs made of fees
+        cfg_path = write_cfg(tmp_path, FORK_CFG.replace("f = 0.003", "f = 0"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: f must be positive to simulate, got 0.0\n"
+        assert not out.exists()
+
     def test_oversized_trace_field(self, tmp_path, capsys):
         # csv's field limit raises csv.Error, which used to escape as a traceback
         (tmp_path / "big.csv").write_text("direction,amount_in\nb2a," + "1" * 200_000 + "\n")

@@ -5,7 +5,8 @@ labels follow the size-ordered prefix rule and equal that rule written out
 by sorting every trade, the two-pool replay kernel makes the decisions
 of the cpmm-composed reference replay, the equilibrium search's round
 loop finds a crossing of the residual, on real replays and on any residuals,
-and a sweep scaled by a power of two is the same sweep, volumes scaled.
+a sweep scaled by a power of two is the same sweep, volumes scaled, and with
+no loyal flow every crossing rate is the tie 1 - (1-t2)/(1+d).
 
 Hypothesis runs derandomized with a small example budget, so the suite stays
 deterministic and fast; the strategies cover every value the validators
@@ -553,3 +554,29 @@ def test_a_sweep_scaled_by_a_power_of_two_is_the_same_sweep(sweep):
         for s, p in zip(samples, plain, strict=True):
             assert (s.t1, s.l1, s.rev1, s.r1, s.r2) == (p.t1, p.l1, p.rev1, p.r1, p.r2), k
             assert (s.v1, s.v2) == (p.v1 * factor, p.v2 * factor), k
+
+
+# one trade of 1.36 while pool 2 holds 2e4 of L_total = 1e6 (l1 = 0.98): the
+# largest deviation found, 1.06e-8 of the tie
+@example((
+    trace_of(("b2a", 1.3551545036668646)),
+    ModelParams(t1=0.0, t2=0.0, s1=0.0, f=0.0005), 1e6, 0.02,
+))
+@PROPERTY
+@given(short_searches().map(lambda s: (s[0], replace(s[1], s1=0.0, s2=0.0), *s[2:])))
+def test_with_no_loyal_flow_every_crossing_rate_is_the_tie(search):
+    # With no loyal trade every trade splits pro rata and leaves both pools at
+    # one price, so vol2/L2 = vol1/L1 at every interior cell and each crossing
+    # rate is 1 - (1-t2)/(1+d), t2 itself at d = 0.  The split's x1 = w1 *
+    # scale - shift1 cancels terms of size L_total, so each trade moves the
+    # ratio by a few ulps of L_total against the smaller pool's share of V.
+    # The factor 16 is seven times the largest measured, 2.25 on 8,000
+    # random traces of this kind.
+    trace, params, L_total, step = search
+    table = test_simulation.TestFindEquilibrium.full_table(params, trace, L_total, step)
+    n, V = len(trace.amounts), table.total_volume
+    tie = 1.0 - (1.0 - params.t2) / (1.0 + params.d)
+    for j in range(1, table.m):
+        l1 = table.shares[j]
+        bound = 16.0 * 2.0**-52 * (n * L_total + V) / (V * min(l1, 1.0 - l1))
+        assert abs(test_simulation.crossing_rate(params, table, j) - tie) <= bound

@@ -844,26 +844,18 @@ class TestSweepTakeRate:
 
     @pytest.mark.parametrize("params", CROSSING_SCENARIOS)
     def test_samples_lie_between_their_neighbours_crossing_rates(self, params, tables):
-        # a replay does not depend on t1, so cell j's residual is linear in t1
-        # and crosses zero at T_j = 1 - (1-t2)(vol2_j/L2_j) / ((1+d) vol1_j/L1_j);
-        # a sample at interior cell i then has T_{i+1} <= t1 <= T_{i-1}
+        # a sample at interior cell i has T_{i+1} <= t1 <= T_{i-1}
         trades = lognormal_trace(3000, 30.0)
         curve = sweep_take_rate(params, trades, 1e6, take_step=0.01, liquidity_step=0.01)
         (table,) = tables
-        m, L_total = table.m, table.L_total
+        m = table.m
         at = {s.t1: table.shares.index(s.l1) for s in curve.samples if 0.0 < s.l1 < 1.0}
         table.fill({j for i in at.values() for j in (i - 1, i + 1) if 0 < j < m})
-
-        def crossing(j):
-            o, l1 = table.cells[j], table.shares[j]
-            r2 = (1.0 - params.t2) * o.volume_2 / ((1.0 - l1) * L_total)
-            return 1.0 - r2 / ((1.0 + params.d) * o.volume_1 / (l1 * L_total))
-
         for t1, i in at.items():
             if i + 1 < m:
-                assert crossing(i + 1) - 1e-12 <= t1
+                assert crossing_rate(params, table, i + 1) - 1e-12 <= t1
             if i - 1 > 0:
-                assert t1 <= crossing(i - 1) + 1e-12
+                assert t1 <= crossing_rate(params, table, i - 1) + 1e-12
         assert len(at) >= 70
 
     def test_deterministic_curve(self):
@@ -891,6 +883,17 @@ class TestSweepTakeRate:
                 assert sample.rev1 == pytest.approx(analytic, abs=0.01)
             else:
                 assert sample.rev1 >= analytic - 0.01
+
+
+def crossing_rate(params, table, j):
+    """The take rate at which filled interior cell j's residual crosses zero.
+
+    A replay does not depend on t1, so the residual is linear in t1 and
+    crosses zero at T_j = 1 - (1-t2)(vol2_j/L2_j) / ((1+d) vol1_j/L1_j).
+    """
+    o, l1, L_total = table.cells[j], table.shares[j], table.L_total
+    r2 = (1.0 - params.t2) * o.volume_2 / ((1.0 - l1) * L_total)
+    return 1.0 - r2 / ((1.0 + params.d) * o.volume_1 / (l1 * L_total))
 
 
 @pytest.fixture
