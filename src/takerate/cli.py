@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analytical import equilibrium_curve, optimal_take_rate, take_rate_grid
 from .data_io import (
+    CONFIG_KEYS,
+    KEY_TYPES,
     ConfigError,
     ScenarioConfig,
     SyntheticSpec,
@@ -47,7 +49,7 @@ _INDETERMINATE_SHARE = 0.5
 
 # Flags that replace the config key or SyntheticSpec field of the same name.
 _CONFIG_FLAGS = ("take_step", "liquidity_step", "seed")
-_SPEC_FLAGS = ("n_trades", "size_mu", "size_sigma", "direction_bias", "seed")
+_SPEC_FLAGS = tuple(f.name for f in fields(SyntheticSpec))
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,11 @@ def _write_curve_csv(path: Path, curve: SweepCurve, reference: Optional[SweepCur
 
 
 def _write_report(path: Path, report: RunReport) -> None:
-    cfg = report.config
-    lines = [
-        f"mode = {report.mode}",
-        f"t2 = {_fmt(cfg.t2)}",
-        f"s1 = {_fmt(cfg.s1)}",
-        f"s2 = {_fmt(cfg.s2)}",
-        f"d = {_fmt(cfg.d)}",
-        f"f = {_fmt(cfg.f)}",
-        f"L_total = {_fmt(cfg.L_total)}",
-        f"trace = {cfg.trace}",
-        f"take_step = {_fmt(cfg.take_step)}",
-        f"liquidity_step = {_fmt(cfg.liquidity_step)}",
-        f"deviation_threshold = {_fmt(cfg.deviation_threshold)}",
-        f"seed = {cfg.seed}",
+    lines = [f"mode = {report.mode}"]
+    for key, kind in CONFIG_KEYS.items():
+        value = getattr(report.config, key)
+        lines.append(f"{key} = {_fmt(value) if kind is float else value}")
+    lines += [
         "",
         f"t1_star = {_fmt(report.t1_star)}",
         f"rev1_star = {_fmt(report.rev1_star)}",
@@ -225,26 +218,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="closed-form sweep from a scenario config")
     analyze.add_argument("config", help="scenario config file")
-    analyze.add_argument("--take-step", type=float)
+    _add_flags(analyze, ("take_step",))
     analyze.add_argument("--out-dir", default=".")
 
     simulate = sub.add_parser("simulate", help="trade-level sweep from a scenario config")
     simulate.add_argument("config", help="scenario config file")
-    simulate.add_argument("--take-step", type=float)
-    simulate.add_argument("--liquidity-step", type=float)
-    simulate.add_argument("--seed", type=int)
+    _add_flags(simulate, _CONFIG_FLAGS)
     simulate.add_argument("--compare", action="store_true",
                           help="add analytical reference columns and deltas")
     simulate.add_argument("--out-dir", default=".")
 
     gen = sub.add_parser("gen-trace", help="generate a synthetic trace CSV")
     gen.add_argument("out", help="output CSV path")
-    gen.add_argument("--n-trades", type=int)
-    gen.add_argument("--size-mu", type=float)
-    gen.add_argument("--size-sigma", type=float)
-    gen.add_argument("--direction-bias", type=float)
-    gen.add_argument("--seed", type=int)
+    _add_flags(gen, _SPEC_FLAGS)
     return parser
+
+
+def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    """One --flag per config key or SyntheticSpec field, of the key's type."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=KEY_TYPES[name])
 
 
 def _given(args: argparse.Namespace, names: Sequence[str]) -> dict:

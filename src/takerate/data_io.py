@@ -4,7 +4,8 @@ Traces are two-column CSV files with the exact header ``direction,amount_in``,
 directions ``a2b``/``b2a`` and positive decimal amounts; in memory they are
 simulation.Trace columns.  Scenarios are flat text files of ``key = value``
 lines with ``#`` comments; unknown keys are rejected so typos surface
-immediately.
+immediately.  The keys and their types are the init fields of ScenarioConfig
+and SyntheticSpec (KEY_TYPES), as are the CLI's flags and report.txt's lines.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -60,7 +61,7 @@ class SyntheticSpec:
             raise ValueError("direction_bias must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """Everything one model run needs: market shape, sweep grids, trace source.
 
@@ -69,15 +70,17 @@ class ScenarioConfig:
     becomes SyntheticSpec(seed=seed), so that replacing seed later reseeds
     the labelling but keeps the trace.  params is the
     ModelParams (t1 = 0) the market keys describe; building it validates them.
+    The init fields but synthetic are the config keys, in the order
+    report.txt lists them; a field without a default is a required key.
     """
 
     t2: float
     s1: float
+    s2: float = 0.0
+    d: float = 0.0
     f: float
     L_total: float
     trace: str
-    s2: float = 0.0
-    d: float = 0.0
     take_step: float = 0.01
     liquidity_step: float = 0.005
     deviation_threshold: float = 0.1
@@ -216,15 +219,21 @@ def generate_trades(spec: SyntheticSpec) -> Trace:
         ) from None
 
 
-_FLOAT_KEYS = {
-    "t2", "s1", "s2", "d", "f", "L_total",
-    "take_step", "liquidity_step", "deviation_threshold",
-    "size_mu", "size_sigma", "direction_bias",
-}
-_INT_KEYS = {"seed", "n_trades"}
-_STR_KEYS = {"trace"}
-_REQUIRED_KEYS = ("t2", "s1", "f", "L_total", "trace")
-_SYNTHETIC_KEYS = {"n_trades", "size_mu", "size_sigma", "direction_bias"}
+_TYPES = {"float": float, "int": int, "str": str}
+_NOT_A = {float: "a number", int: "an integer"}
+
+
+def _keys(cls: type, not_a_key: str) -> dict[str, type]:
+    """cls's init fields but not_a_key, in field order, with the types they annotate."""
+    return {f.name: _TYPES[f.type] for f in fields(cls) if f.init and f.name != not_a_key}
+
+
+# The one scenario schema: a config key is an init field of ScenarioConfig
+# (synthetic aside) or of SyntheticSpec (seed aside, which ScenarioConfig has).
+CONFIG_KEYS = _keys(ScenarioConfig, "synthetic")
+_SPEC_KEYS = _keys(SyntheticSpec, "seed")
+KEY_TYPES = {**CONFIG_KEYS, **_SPEC_KEYS}
+_REQUIRED = [f.name for f in fields(ScenarioConfig) if f.init and f.default is MISSING]
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
@@ -244,7 +253,7 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = text.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
@@ -252,46 +261,30 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
             raise ConfigError(f"{path}: line {lineno}: no value for key {key!r}")
         raw[key] = value
 
-    for key in _REQUIRED_KEYS:
+    for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
     values: dict[str, object] = {}
     for key, text in raw.items():
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(text)
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r}: not a number: {text!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(text)
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r}: not an integer: {text!r}") from None
-        else:
-            values[key] = text
-
-    trace = str(values["trace"])
-    synthetic_given = _SYNTHETIC_KEYS & values.keys()
-    if trace != "synthetic" and synthetic_given:
-        raise ConfigError(
-            f"{path}: keys {sorted(synthetic_given)} require 'trace = synthetic'"
-        )
-
-    synthetic = None
-    if trace == "synthetic":
-        spec_kwargs = {k: values[k] for k in _SYNTHETIC_KEYS if k in values}
-        spec_kwargs["seed"] = values.get("seed", 0)
+        kind = KEY_TYPES[key]
         try:
-            synthetic = SyntheticSpec(**spec_kwargs)
+            values[key] = kind(text)
+        except ValueError:
+            raise ConfigError(f"{path}: key {key!r}: not {_NOT_A[kind]}: {text!r}") from None
+
+    spec_kwargs = {k: values.pop(k) for k in _SPEC_KEYS if k in values}
+    synthetic = None
+    if values["trace"] == "synthetic":
+        try:
+            synthetic = SyntheticSpec(**spec_kwargs, seed=values.get("seed", 0))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    elif spec_kwargs:
+        raise ConfigError(f"{path}: keys {sorted(spec_kwargs)} require 'trace = synthetic'")
 
-    config_kwargs = {
-        k: v for k, v in values.items() if k not in _SYNTHETIC_KEYS | {"trace"}
-    }
     try:
-        return ScenarioConfig(trace=trace, synthetic=synthetic, **config_kwargs)
+        return ScenarioConfig(synthetic=synthetic, **values)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

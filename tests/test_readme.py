@@ -1,17 +1,24 @@
-"""README's "Library use" example runs and prints what its comments say."""
+"""README's "Library use" example runs and prints what its comments say, and
+its config example sets every key the config parser accepts."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from takerate.data_io import KEY_TYPES, load_config
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_use_block():
+def block(heading, language):
     text = README.read_text()
-    section = text[text.index("## Library use"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def library_use_block():
+    return block("## Library use", "python")
 
 
 def test_library_use_example_prints_its_comments(capsys):
@@ -21,3 +28,13 @@ def test_library_use_example_prints_its_comments(capsys):
     assert optimum.startswith("(0.0999")
     assert best.startswith("EquilibriumResult(t1=0.97, l1=0.005, ")
     assert "rev1=0.1669" in best
+
+
+def test_config_example_sets_every_key_the_parser_accepts(tmp_path):
+    text = block("## Scenario config format", "ini")
+    path = tmp_path / "example.cfg"
+    path.write_text(text)
+    load_config(path)  # raises on any key or value the parser refuses
+    lines = (line.split("#", 1)[0] for line in text.splitlines())
+    keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
+    assert sorted(keys) == sorted(KEY_TYPES)
