@@ -33,18 +33,21 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    which enter only the residual (1-t1)*f*vol1/L1*(1+d) - (1-t2)*f*vol2/L2
    and rev1 = t1*vol1/V, so the sweep labels the trace once and one solve
    runs every take rate over the same table: each split is replayed at most
-   once per sweep.  The solve fills the table in rounds.  The first reads the
-   grid's two interior ends and, for each take rate, the two cells around the
-   closed form's equilibrium share, which usually hold the crossing.  Each
-   round, every take rate's bracket first moves past the cells already
-   filled inside it, then reads the two cells beside the crossing that both
-   pools' volumes, interpolated between the bracket's ends, predict; a lone
-   search usually takes one to three rounds.  On a machine with two or more
-   usable cores a round long enough to pay for it forks one child, which
-   replays every second new cell of that round and is reaped before the
-   round ends.  Without os.fork or the cores, while another thread runs, on
-   a short trace, or if a child fails, every cell replays in this process;
-   the result is the same.  Nothing needs configuring.
+   once per sweep.  The solve fills the table in rounds.  The first reads,
+   for each take rate, the two cells around the closed form's equilibrium
+   share, which usually hold the crossing.  Each round, every take rate's
+   bracket first moves past the cells already filled inside it, then reads
+   the two cells beside the crossing that both pools' volumes, interpolated
+   between the bracket's ends or extrapolated towards an end not read yet,
+   predict; a lone search usually takes one or two rounds.  A bracket reads
+   a grid edge only once it reaches it, so where the residual changes sign
+   more than once a search may stop at the crossing nearest the closed
+   form's share.  On a machine with two or more usable cores a round long
+   enough to pay for it forks one child, which replays every second new
+   cell of that round and is reaped before the round ends.  Without os.fork
+   or the cores, while another thread runs, on a short trace, or if a child
+   fails, every cell replays in this process; the result is the same.
+   Nothing needs configuring.
 
 Volumes are accounted in token-0 units; token-1 legs convert at the pool's
 pre-trade marginal price.  A pool's fee revenue is f times its volume, so
@@ -547,7 +550,7 @@ class _CellTable:
     labelled trace, replays every second missing cell and writes the
     outcomes back, while this process replays the others; fill reaps the
     child before it returns or raises.  So on a long trace a lone search
-    forks its rounds of two or four cells too.  If the fork fails or the
+    forks its rounds of two cells too.  If the fork fails or the
     child dies or replies badly, this process replays the child's cells too:
     the outcomes are the same either way, and nothing carries over to the
     next round.
@@ -711,28 +714,32 @@ def _solve(
 
     Each take rate holds one bracket (lo, hi) of cell indices, and each round
     fills its new cells with one call to table.fill, so the table can replay
-    them side by side.  The first round fills cells 1 and m-1 and, for each
-    take rate, the two cells c and c+1 around the share l1 the closed form
-    gives (analytical._equilibrium_shares), shares[c] <= l1 < shares[c+1],
-    clamped to 1..m-1; where every split is a closed-form equilibrium it adds
-    none.  On a market the closed form describes, those two cells usually
-    hold the simulated crossing, so the walk below closes the bracket on them
-    and a lone search ends after one to three rounds.  The closed form only
-    chooses which cells are read first: the walk, the probes and the final
-    rule are the same whatever it predicts.  A take rate whose residual is
-    positive at m-1 closes on cell m, bracket (m, m), one negative at 1 on
-    (0, 0), and every other one narrows the open bracket (1, m-1), the
-    residual falling with the share.  Each round, every open bracket first
-    walks the filled cells strictly inside it in ascending order: a positive
-    residual moves lo, and the first other one becomes hi and ends the walk.
-    Then each bracket still wider than one cell reads the two cells beside
-    the crossing of its residual with both pools' volumes interpolated
-    linearly between its ends (see probe), a new cell inside every open
-    bracket, and each closed one reads its cell; the loop ends when a round
-    finds nothing new.  The result is the end of the final (lo, lo+1) with
-    the smaller |residual|, ties within 1e-12 going to the larger share
-    (where the residual changes sign once, that does not depend on which
-    cells were read), or a closed bracket's cell.  rois is where a
+    them side by side.  The first round fills, for each take rate, the two
+    cells c and c+1 around the share l1 the closed form gives
+    (analytical._equilibrium_shares), shares[c] <= l1 < shares[c+1], clamped
+    to 1..m-1; where every split is a closed-form equilibrium it fills cells
+    1 and m-1.  On a market the closed form describes, those two cells
+    usually hold the simulated crossing, so the walk below closes the
+    bracket on them and a lone search ends after one or two rounds.  The
+    closed form only chooses which cells are read first: the walk, the
+    probes and the final rule are the same whatever it predicts.  Every
+    bracket starts at (0, m), 0 and m being ends not read yet, the residual
+    falling with the share.  Each round, every open bracket first walks the
+    filled cells strictly inside it in ascending order: a positive residual,
+    or a zero at cell 1, moves lo, and the first other one becomes hi and
+    ends the walk.  A walk that reaches an edge closes the bracket there: on
+    (0, 0) if res(1) < 0 and on (m, m) if res(m-1) > 0, so an edge cell is
+    read only once a bracket reaches it.  Then each bracket still wider than
+    one cell reads the two cells beside the crossing of its residual with
+    both pools' volumes taken linear between two filled cells (see probe), a
+    new cell inside every open bracket, and each closed one reads its cell;
+    the loop ends when a round finds nothing new.  The result is the end of
+    the final (lo, lo+1) with the smaller |residual|, ties within 1e-12 going
+    to the larger share, or a closed bracket's cell.  Where the residual
+    changes sign once, that does not depend on which cells were read; where
+    it changes sign more than once, the search stops at one crossing, an
+    edge cell or a pair of neighbours whose residuals change sign, usually
+    the one nearest the closed form's share.  rois is where a
     replay's volumes become fees: pool i earns f * volume_i, so
     r_i = (1-t_i) * f * volume_i / L_i, None for an empty pool.  Each take
     rate's EquilibriumResult is built once, after the loop, with
@@ -758,16 +765,31 @@ def _solve(
         return r1 * one_plus_d - r2
 
     def probe(t1: float, lo: int, hi: int) -> set[int]:
-        """The cells strictly inside (lo, hi) beside the interpolated crossing.
+        """The cells strictly inside (lo, hi) beside the predicted crossing.
 
-        At the share l = x + w*u, u in [0, 1], with both volumes linear in u
-        between the end cells, g(u) = (1-t1)(1+d)*v1*(1-l) - (1-t2)*v2*l has
+        Both pools' volumes are taken as linear in the share through two
+        filled cells left < right: the bracket's ends, or where an end 0 or
+        m is not read yet, the other end and the nearest filled interior
+        cell beyond it.  At the share l = x + w*u, x = shares[left],
+        w = shares[right] - x, g(u) = (1-t1)(1+d)*v1*(1-l) - (1-t2)*v2*l has
         the residual's sign and is the quadratic c0 + c1*u + c2*u**2.  Its
-        root in [0, 1] lies between cells c and c+1; without one, the
-        midpoint is read.
+        first root whose share lies in the bracket, an end not read bounding
+        nothing (u in [0, 1] between two read ends), lies between cells c and
+        c+1, c clamped into the bracket; without one, or without a second
+        filled cell, the midpoint is read.
         """
-        start, end = table.cells[lo], table.cells[hi]
-        x, w = shares[lo], shares[hi] - shares[lo]
+        if lo == 0:
+            left, right = hi, next((i for i in range(hi + 1, m) if i in table.cells), None)
+        elif hi == m:
+            left, right = next((i for i in range(lo - 1, 0, -1) if i in table.cells), None), lo
+        else:
+            left, right = lo, hi
+        if left is None or right is None:
+            return {(lo + hi) // 2}
+        start, end = table.cells[left], table.cells[right]
+        x, w = shares[left], shares[right] - shares[left]
+        lower = (shares[lo] - x) / w if lo > 0 else -math.inf
+        upper = (shares[hi] - x) / w if hi < m else math.inf
         a, b = (1.0 - t1) * one_plus_d, one_minus_t2
         v1, dv1 = start.volume_1, end.volume_1 - start.volume_1
         v2, dv2 = start.volume_2, end.volume_2 - start.volume_2
@@ -779,37 +801,43 @@ def _solve(
             # both roots without cancellation; q is 0 only where c0 is
             q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
             for u in (c0 / q if q else 0.0, q / c2 if c2 else math.nan):
-                if 0.0 <= u <= 1.0:
-                    # shares[lo] <= x + w*u, so lo <= c < hi
-                    c = bisect_right(shares, x + w * u, lo, hi) - 1
+                if lower <= u <= upper:
+                    c = max(bisect_right(shares, x + w * u, lo, hi) - 1, lo)
                     return {c, c + 1} - {lo, hi}
         return {(lo + hi) // 2}
 
     m = table.m
-    first = {1, m - 1}
+    first = set()
     for l1 in _equilibrium_shares(t1s, params.t2, params.s1, params.s2, params.d):
-        if l1 is not None:  # None: every split is an equilibrium
+        if l1 is None:  # every split is an equilibrium: read the cells next to both ends
+            first.update((1, m - 1))
+        else:
             c = bisect_right(shares, l1) - 1
             first.update(min(max(i, 1), m - 1) for i in (c, c + 1))
     table.fill(first)
-    brackets = [
-        (m, m) if residual(t1, m - 1) > 0.0 else (0, 0) if residual(t1, 1) < 0.0 else (1, m - 1)
-        for t1 in t1s
-    ]
+    # 0 and m are ends not read yet: an edge cell is read only once a bracket reaches it
+    brackets = [(0, m)] * len(t1s)
     while True:
-        # res decreases with the share: each open bracket keeps res(lo) >= 0 >= res(hi)
+        # res decreases with the share: an open bracket keeps res(lo) >= 0 >= res(hi) at read ends
         new_cells = set()
         for k, (lo, hi) in enumerate(brackets):
+            t1 = t1s[k]
             for i in range(lo + 1, hi):
                 if i in table.cells:
-                    if residual(t1s[k], i) > 0.0:
+                    res = residual(t1, i)
+                    # a zero at cell 1 is a lower end, so the final rule weighs cells 1 and 2
+                    if res > 0.0 or res == 0.0 and i == 1:
                         lo = i
                     else:
                         hi = i
                         break
+            if hi - lo == 1 and (lo == 0 or hi == m):
+                # the walk reached an edge: res(1) < 0 closes on cell 0 and
+                # res(m-1) > 0 on cell m; with m = 2, a zero at cell 1 on cell 1
+                lo = hi = 0 if lo == 0 else m if residual(t1, lo) > 0.0 else lo
             brackets[k] = lo, hi
             # a closed bracket (i, i) needs cell i; a one-cell bracket's ends are filled
-            new_cells |= probe(t1s[k], lo, hi) if hi - lo > 1 else {lo, hi}
+            new_cells |= probe(t1, lo, hi) if hi - lo > 1 else {lo, hi}
         new_cells.difference_update(table.cells)
         if not new_cells:
             break
@@ -848,11 +876,15 @@ def find_equilibrium(
     r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual falls
     with the share, so the crossing is located by narrowing a bracket
     instead of evaluating every cell (see _solve).  The first round reads
-    cells 1 and m-1 and the two cells around the closed-form share
+    the two cells around the closed-form share
     (analytical.equilibrium_share), which usually hold the crossing, so a
-    search usually takes one to three rounds; the closed form chooses only
-    which cells are read, not the result.  On two or more cores and a long
-    trace those rounds fork (see _CellTable); the result is the same.
+    search usually takes one or two rounds; the closed form chooses only
+    which cells are read, not the result, wherever the residual changes sign
+    once.  Cells 1 and m-1, and the end cells, are read only once the
+    bracket reaches them; where the residual changes sign more than once,
+    the result is one of its crossings, usually the one nearest the closed
+    form.  On two or more cores and a long trace those rounds fork (see
+    _CellTable); the result is the same.
     """
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
     return _solve(params, (params.t1,), table)[0]
@@ -876,9 +908,10 @@ def sweep_take_rate(
     once and one solve runs every take rate over the same cell table, so
     each sample equals find_equilibrium at that take rate and seed wherever
     the residual changes sign once (where it changes sign more than once,
-    either returns one of the crossings).  Each round of the solve narrows
-    every take rate's bracket, and on two or more cores it forks a child
-    that replays half of the round's new cells (see _CellTable).
+    either returns one of the crossings, and a grid edge is read only once a
+    bracket reaches it).  Each round of the solve narrows every take rate's
+    bracket, and on two or more cores it forks a child that replays half of
+    the round's new cells (see _CellTable).
     """
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)

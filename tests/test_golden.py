@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from takerate import simulation
 from takerate.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +24,17 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 COMMANDS = {
     "simulate": ["simulate", "--compare"],
     "analyze": ["analyze"],
+}
+# The replays each config's simulate sweep runs, forked or not.  A bracket
+# reads an edge cell only once it reaches it; when every search also read
+# cells 1 and m-1 first, the sweeps ran 108, 158, 118, 111 and 4, and no
+# count here may exceed those.
+SWEEP_REPLAYS = {
+    "established_competitor": 108,
+    "established_competitor_sticky": 157,
+    "fork": 118,
+    "fork_sticky_liquidity": 111,
+    "no_stickiness": 4,
 }
 
 
@@ -42,9 +54,19 @@ def test_every_config_is_recorded():
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
-def test_outputs_match_golden_digests(config, command, tmp_path):
+def test_outputs_match_golden_digests(config, command, tmp_path, monkeypatch):
+    tables = []
+
+    class Recording(simulation._CellTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(simulation, "_CellTable", Recording)
     expected = json.loads(GOLDEN.read_text())[config.name][command]
     got = digests(config, command, tmp_path)
+    replays = [SWEEP_REPLAYS[config.stem]] if command == "simulate" else []
+    assert [table.replays for table in tables] == replays, f"{config.name} {command}: replays"
     assert sorted(got) == sorted(expected), f"{config.name} {command}: files written"
     for name, digest in expected.items():
         assert got[name] == digest, f"{config.name} {command}: {name} differs"

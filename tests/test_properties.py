@@ -487,8 +487,10 @@ def any_residuals(draw):
 def test_round_loop_narrows_every_bracket_on_any_residuals(stub):
     # The stub's fill raises on a cell requested twice or a round that
     # fills nothing.  Each take rate's bracket is followed here by the
-    # search's rule: it moves past every filled cell inside it, lo on a
-    # positive residual, hi at the first other one.
+    # search's rule: it starts at (0, m), ends not read yet, and moves past
+    # every filled cell inside it, lo on a positive residual or a zero at
+    # cell 1, hi at the first other one; a bracket that reaches an edge
+    # closes on cell 0 or, if res(m-1) > 0, on cell m.
     shares, outcomes, t1s = stub
     table = test_simulation.HiddenCellTable(shares, outcomes)
     m = table.m
@@ -502,27 +504,28 @@ def test_round_loop_narrows_every_bracket_on_any_residuals(stub):
 
     for t1, result in zip(t1s, results):
         res = {i: residual(t1, i) for i in range(1, m)}
-        if res[m - 1] > 0.0 or res[1] < 0.0:
-            lo = hi = None
-        else:
-            lo, hi = 1, m - 1
-        held = set(table.rounds[0])
-        for request in table.rounds[1:]:
+        lo, hi = 0, m
+        held = set()
+        for request in table.rounds:
             held.update(request)
-            if lo is None or hi - lo <= 1:
+            if hi - lo <= 1:
                 continue
             width = hi - lo
             for i in range(lo + 1, hi):
                 if i in held:
-                    if res[i] > 0.0:
+                    if res[i] > 0.0 or res[i] == 0.0 and i == 1:
                         lo = i
                     else:
                         hi = i
                         break
+            if hi - lo == 1 and lo == 0:
+                hi = 0
+            elif hi - lo == 1 and hi == m:
+                lo = hi = m if res[lo] > 0.0 else lo
             assert hi - lo < width  # every round narrows every open bracket
         i = shares.index(result.l1)
         assert at_a_crossing(res, m, i)
-        assert i in (lo, hi) if lo is not None else i in (0, m)
+        assert i in (lo, hi)
 
 
 @st.composite

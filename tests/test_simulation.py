@@ -511,10 +511,11 @@ class TestFindEquilibrium:
 
             monkeypatch.setattr(simulation, name, recorded)
         trades = lognormal_trace(400, 50.0)
-        # pool 1 is the better deal at every split: cells 1, m-1 and m
+        # pool 1 is the better deal at every split, as the closed form says:
+        # cell m-1, then cell m
         params = ModelParams(t1=0.05, t2=0.167, s1=0.1, s2=0.0, d=0.0, f=0.003)
         assert find_equilibrium(params, trades, 1e6).l1 == 1.0
-        assert [len(seen) for seen in calls.values()] == [2, 1]
+        assert [len(seen) for seen in calls.values()] == [1, 1]
         labels = assign_sticky(trades, 0.1, 0.0)
         for seen in calls.values():
             for args, kwargs in seen:
@@ -687,6 +688,50 @@ class TestSearchTieRule:
         assert [(r.t1, r.l1, r.r1, r.r2) for r in results] == [
             (0.0, 0.75, 1.0, 2.0), (0.5, 0.5, 1.0, 1.0), (0.9, 0.0, None, 1.0)
         ]
+
+
+class TestOneSidedBracket:
+    """A bracket starts at (0, m), ends not read yet: an edge cell is read
+    only once the walk reaches it."""
+
+    @staticmethod
+    def solve(monkeypatch, rates):
+        """The cells each round fills and the result over a stub table of eleven cells.
+
+        Interior cell i of shares i/10 has LP returns rates[i-1], so with
+        t1 = t2 = d = 0 its residual is r1 - r2; the closed form is made to
+        put the share at 0.45, so the first round reads cells 4 and 5.
+        """
+        shares = [i / 10 for i in range(10)] + [1.0]
+        rates = [(0.0, 1.0)] + rates + [(1.0, 0.0)]
+        table = HiddenCellTable(shares, [
+            SimOutcome(r1 * l1, r2 * (1.0 - l1), 0, 0, 0.0, 0.0)
+            for l1, (r1, r2) in zip(shares, rates)
+        ])
+        monkeypatch.setattr(simulation, "_equilibrium_shares", lambda t1s, *args: [0.45])
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, d=0.0, f=0.003)
+        return table.rounds, simulation._solve(params, (0.0,), table)[0]
+
+    def test_positive_guess_cells_walk_up_to_cell_m(self, monkeypatch):
+        rounds, result = self.solve(monkeypatch, [(2.0, 1.0)] * 9)
+        assert rounds == [[4, 5], [9], [10]]  # never cell 1
+        assert (result.l1, result.r1, result.r2) == (1.0, 1.0, None)
+
+    def test_negative_guess_cells_walk_down_to_cell_0(self, monkeypatch):
+        rounds, result = self.solve(monkeypatch, [(1.0, 2.0)] * 9)
+        assert rounds == [[4, 5], [1], [0]]  # never cell m-1
+        assert (result.l1, result.r1, result.r2) == (0.0, None, 1.0)
+
+    @pytest.mark.parametrize("gap, l1", [(0.0, 0.2), (5e-13, 0.2), (1e-9, 0.1)])
+    def test_a_zero_at_cell_1_keeps_the_tie_rule(self, monkeypatch, gap, l1):
+        # residual 0 at cell 1, -gap at cell 2 and -1 above.  When every
+        # bracket began at (1, m-1), res(m-1) <= 0 and res(1) >= 0 left it
+        # open and it narrowed to (1, 2), whose end with the smaller
+        # |residual| won, ties within 1e-12 going to cell 2; so here too
+        rounds, result = self.solve(monkeypatch, [(1.0, 1.0), (1.0, 1.0 + gap)] + [(1.0, 2.0)] * 7)
+        assert rounds[:2] == [[4, 5], [1]]
+        assert 0 not in sum(rounds, [])
+        assert result.l1 == l1
 
 
 class TestSweepTakeRate:
@@ -975,7 +1020,7 @@ def new_cells_per_round(monkeypatch):
 
 # the new cells of each of helper_sweep's rounds, and the rounds whose share
 # for the child reaches _FORK_MIN_WORK trade replays
-HELPER_ROUNDS = [40, 25]
+HELPER_ROUNDS = [39, 25]
 ROUNDS_THAT_FORK = sum(
     new // 2 * len(HELPER_TRADES) >= simulation._FORK_MIN_WORK for new in HELPER_ROUNDS
 )
@@ -989,15 +1034,15 @@ def test_helper_sweep_fills_its_rounds(monkeypatch):
 
 
 def test_lone_search_rounds_and_replays(monkeypatch, tables):
-    # one search on a 10,000-trade sticky trace reads cells 1 and m-1 and the
-    # two cells around the closed form's share in its first round, and those
-    # two hold the crossing; the same on every machine, forked or not
+    # one search on a 10,000-trade sticky trace reads only the two cells
+    # around the closed form's share in its first round, and those two hold
+    # the crossing; the same on every machine, forked or not
     new_cells = new_cells_per_round(monkeypatch)
     trades = generate_trades(SyntheticSpec(n_trades=10_000, seed=7))
     eq = find_equilibrium(replace(HELPER_PARAMS, t1=0.27), trades, 2e6, seed=4)
     assert 0.0 < eq.l1 < 1.0
-    assert new_cells == [4]
-    assert tables[0].replays == 4
+    assert new_cells == [2]
+    assert tables[0].replays == 2
 
 
 def assert_no_child():
