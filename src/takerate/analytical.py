@@ -115,7 +115,7 @@ class EquilibriumResult:
 def pool_volumes(params: ModelParams, l1: float) -> tuple[float, float]:
     """Each pool's volume as a share of V: sticky share plus pro-rata routed share."""
     if not 0.0 <= l1 <= 1.0:
-        raise ValueError("l1 must lie in [0, 1]")
+        raise ValueError(f"l1 must lie in [0, 1], got {l1}")
     routed = 1.0 - params.s1 - params.s2
     return params.s1 + routed * l1, params.s2 + routed * (1.0 - l1)
 

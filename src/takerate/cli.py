@@ -31,7 +31,6 @@ from .data_io import (
     ConfigError,
     ScenarioConfig,
     SyntheticSpec,
-    TraceFormatError,
     generate_trades,
     load_config,
     resolve_trades,
@@ -278,7 +277,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # written.  Point stdout at devnull so the exit-time flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ConfigError, TraceFormatError, ValueError, OSError) as exc:
+    # ConfigError, TraceFormatError and TraceScaleError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -23,6 +23,11 @@ Direction = Literal["a2b", "b2a"]
 A2B: Direction = "a2b"
 B2A: Direction = "b2a"
 
+# arbitrage and the replay kernel execute a round trip only when its profit
+# clears this fraction of the pools' combined token-0 reserves, which keeps
+# float-noise round trips out
+MIN_PROFIT_SCALE = 1e-12
+
 
 @dataclass(frozen=True)
 class PoolState:
@@ -42,14 +47,10 @@ class PoolState:
     def __post_init__(self) -> None:
         for name in ("reserve_a", "reserve_b", "fee_ledger_a", "fee_ledger_b"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if self.reserve_a < 0 or self.reserve_b < 0:
-            raise ValueError("pool reserves must be nonnegative")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
         if not 0.0 <= self.fee < 1.0:
-            raise ValueError("fee must lie in [0, 1)")
-        if self.fee_ledger_a < 0 or self.fee_ledger_b < 0:
-            raise ValueError("fee ledgers must be nonnegative")
+            raise ValueError(f"fee must lie in [0, 1), got {self.fee}")
 
     @property
     def price(self) -> float:
@@ -93,12 +94,18 @@ class ArbTrade:
     pool2: PoolState
 
 
+def check_reserves(*pools: PoolState) -> None:
+    """Raise ValueError unless every pool holds positive reserves of both assets."""
+    for pool in pools:
+        if pool.reserve_a <= 0.0 or pool.reserve_b <= 0.0:
+            raise ValueError(f"pool reserves must be positive, got ({pool.reserve_a}, {pool.reserve_b})")
+
+
 def quote(pool: PoolState, amount_in: float, direction: Direction) -> float:
     """Output amount for a swap of amount_in, without touching the pool."""
     if amount_in < 0:
-        raise ValueError("swap input must be nonnegative")
-    if pool.reserve_a <= 0 or pool.reserve_b <= 0:
-        raise ValueError("pool must have positive reserves to accept trades")
+        raise ValueError(f"swap input must be nonnegative, got {amount_in}")
+    check_reserves(pool)
     if amount_in == 0:
         return 0.0
     res_in, res_out = pool.oriented(direction)
@@ -150,10 +157,8 @@ def optimal_split(
     if not pools:
         raise ValueError("optimal_split requires at least one pool")
     if trade < 0:
-        raise ValueError("trade size must be nonnegative")
-    for p in pools:
-        if p.reserve_a <= 0 or p.reserve_b <= 0:
-            raise ValueError("all pools must have positive reserves")
+        raise ValueError(f"trade size must be nonnegative, got {trade}")
+    check_reserves(*pools)
     n = len(pools)
     if trade == 0:
         return RouteSplit(amounts=(0.0,) * n, total_out=0.0)
@@ -203,17 +208,17 @@ def optimal_split(
     return RouteSplit(amounts=tuple(amounts), total_out=total_out)
 
 
-def _round_trip_size(
-    a_in: float, b_in: float, g_in: float, a_back: float, b_back: float, g_back: float
-) -> float:
-    """Profit-maximizing token-0 size for: token-0 into the `in` pool,
-    token-1 proceeds back through the `back` pool.
+def _round_trip_size(pool_in: PoolState, pool_back: PoolState) -> float:
+    """Profit-maximizing token-0 size for: token-0 into pool_in, token-1
+    proceeds back through pool_back.
 
     Composing the two trade functions gives out(x) = N*x / (D + E*x) with
     N = a_back*g_back*g_in*b_in, D = a_in*b_back and E = g_in*(b_back +
-    g_back*b_in); out'(x) = 1 at the closed form below.  Nonpositive when
-    the price gap sits inside the fee band (N <= D).
+    g_back*b_in), g = 1 - fee; out'(x) = 1 at the closed form below.
+    Nonpositive when the price gap sits inside the fee band (N <= D).
     """
+    a_in, b_in, g_in = pool_in.reserve_a, pool_in.reserve_b, 1.0 - pool_in.fee
+    a_back, b_back, g_back = pool_back.reserve_a, pool_back.reserve_b, 1.0 - pool_back.fee
     n = a_back * g_back * g_in * b_in
     d = a_in * b_back
     if n <= d:
@@ -230,33 +235,17 @@ def arbitrage(pool1: PoolState, pool2: PoolState) -> Optional[ArbTrade]:
     surplus.  Returns None when no round trip beats the fee band; after an
     executed trade a second call returns None.
     """
-    for p in (pool1, pool2):
-        if p.reserve_a <= 0 or p.reserve_b <= 0:
-            raise ValueError("both pools must have positive reserves")
-    g1 = 1.0 - pool1.fee
-    g2 = 1.0 - pool2.fee
-    min_profit = 1e-12 * (pool1.reserve_a + pool2.reserve_a)
-
-    # Token-0 into pool 2, back out through pool 1.
-    size = _round_trip_size(
-        pool2.reserve_a, pool2.reserve_b, g2, pool1.reserve_a, pool1.reserve_b, g1
-    )
-    if size > 0.0:
-        mid, new2 = execute_swap(pool2, size, A2B)
-        out, new1 = execute_swap(pool1, mid, B2A)
-        profit = out - size
-        if profit > min_profit:
-            return ArbTrade(2, size, mid, out, profit, new1, new2)
-        return None
-
-    # Token-0 into pool 1, back out through pool 2.
-    size = _round_trip_size(
-        pool1.reserve_a, pool1.reserve_b, g1, pool2.reserve_a, pool2.reserve_b, g2
-    )
-    if size > 0.0:
-        mid, new1 = execute_swap(pool1, size, A2B)
-        out, new2 = execute_swap(pool2, mid, B2A)
-        profit = out - size
-        if profit > min_profit:
-            return ArbTrade(1, size, mid, out, profit, new1, new2)
+    check_reserves(pool1, pool2)
+    min_profit = MIN_PROFIT_SCALE * (pool1.reserve_a + pool2.reserve_a)
+    # at most one direction clears the fee band
+    for pool_in, into, back in ((2, pool2, pool1), (1, pool1, pool2)):
+        size = _round_trip_size(into, back)
+        if size > 0.0:
+            mid, new_in = execute_swap(into, size, A2B)
+            out, new_back = execute_swap(back, mid, B2A)
+            profit = out - size
+            if profit > min_profit:
+                new1, new2 = (new_back, new_in) if pool_in == 2 else (new_in, new_back)
+                return ArbTrade(pool_in, size, mid, out, profit, new1, new2)
+            return None
     return None

@@ -54,11 +54,11 @@ class SyntheticSpec:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.n_trades < 1:
-            raise ValueError("n_trades must be at least 1")
+            raise ValueError(f"n_trades must be at least 1, got {self.n_trades}")
         if self.size_sigma < 0.0:
-            raise ValueError("size_sigma must be nonnegative")
+            raise ValueError(f"size_sigma must be nonnegative, got {self.size_sigma}")
         if not 0.0 <= self.direction_bias <= 1.0:
-            raise ValueError("direction_bias must lie in [0, 1]")
+            raise ValueError(f"direction_bias must lie in [0, 1], got {self.direction_bias}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,16 +93,13 @@ class ScenarioConfig:
             params = ModelParams(
                 t1=0.0, t2=self.t2, s1=self.s1, s2=self.s2, d=self.d, f=self.f
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "params", params)
-        try:
             check_L_total(self.L_total)
             check_step("take_step", self.take_step)
             check_step("liquidity_step", self.liquidity_step)
             check_deviation_threshold(self.deviation_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "params", params)
         if not self.trace:
             raise ConfigError("trace must name a CSV file or 'synthetic'")
         if self.trace == "synthetic" and self.synthetic is None:

@@ -14,9 +14,10 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    round trip, if any, is executed.  replay_trades is the readable
    reference, composed from cpmm one trade at a time.  The search replays
    through two private kernels that inline the same math: _replay_two for
-   two pools, _replay_single for one.  Both read the Trace's own columns
-   beside the label list, so a labelled trace costs one 8-byte list slot
-   per trade on top of its 9 bytes.  _replay_two solves no split for a
+   two pools, _replay_single for one.  _replay_two reads the Trace's own
+   columns beside the label list, so a labelled trace costs one 8-byte list
+   slot per trade on top of its 9 bytes; _replay_single reads the labels
+   only to count reroutes.  _replay_two solves no split for a
    loyal trade that cannot reroute: CPMM output is concave, so no split
    yields more than the trade times the better marginal rate, and a direct
    quote of at least (1 - threshold + 1e-9) times that bound stays, the
@@ -83,11 +84,8 @@ from .analytical import (
     take_rate_grid,
     unit_grid,
 )
-from .cpmm import A2B, B2A, PoolState, arbitrage, execute_swap, optimal_split, quote
-
-# Arbitrage in the replay executes only when it clears this fraction of the
-# combined token-0 reserves, which keeps float-noise round trips out.
-_MIN_PROFIT_SCALE = 1e-12
+from .cpmm import MIN_PROFIT_SCALE as _MIN_PROFIT_SCALE
+from .cpmm import A2B, B2A, PoolState, arbitrage, check_reserves, execute_swap, optimal_split, quote
 
 # _replay_two skips the split of a loyal trade whose direct quote clears the
 # reroute bound by this margin, relative to amt times the better marginal
@@ -418,16 +416,14 @@ def _replay_two(a1, b1, f1, a2, b2, f2, trace, labels, threshold):
 def _replay_single(a, b, f, trace, labels, own_label):
     """Replay with one surviving pool, pool `own_label`: everything executes there.
 
-    trace and labels are as for _replay_two.  Trades loyal to the missing
-    pool count as rerouted.  Returns a SimOutcome whose missing pool has
-    zero tallies; nothing arbitrages against one pool.
+    trace and labels are as for _replay_two, but no label changes where a
+    trade executes, so the labels are read only to count the trades loyal
+    to the missing pool as rerouted.  Returns a SimOutcome whose missing
+    pool has zero tallies; nothing arbitrages against one pool.
     """
     g = 1.0 - f
     vol = 0.0
-    rerouted = 0
-    for is_a2b, amt, lab in zip(trace.a2b, trace.amounts, labels):
-        if lab != 0 and lab != own_label:
-            rerouted += 1
+    for is_a2b, amt in zip(trace.a2b, trace.amounts):
         if is_a2b:
             out = b * g * amt / (a + g * amt)
             v = amt
@@ -440,6 +436,7 @@ def _replay_single(a, b, f, trace, labels, own_label):
             a -= out
         vol += v
     vol1, vol2 = (vol, 0.0) if own_label == 1 else (0.0, vol)
+    rerouted = len(labels) - labels.count(0) - labels.count(own_label)
     return SimOutcome(
         volume_1=vol1, volume_2=vol2, arb_count=0, rerouted_count=rerouted,
         arb_volume_1=0.0, arb_volume_2=0.0,
@@ -476,14 +473,12 @@ def replay_trades(
         raise ValueError(f"labels has {len(labels)} entries for {len(trace)} trades")
     if any(lab not in (0, 1, 2) for lab in labels):
         raise ValueError("labels must be 0 (routed), 1 or 2 (loyal to that pool)")
-    for p in (pool1, pool2):
-        if p.reserve_a <= 0.0 or p.reserve_b <= 0.0:
-            raise ValueError("both pools must have positive reserves")
+    check_reserves(pool1, pool2)
     p1, p2 = pool1.price, pool2.price
     # The procedure assumes a common starting price; allow the no-arbitrage
     # band's worth of slack so a replay can resume from a previous end state.
     if abs(p1 - p2) > 0.05 * max(p1, p2):
-        raise ValueError("pools must start balanced to a common marginal price")
+        raise ValueError(f"pools must start balanced to a common marginal price, got {p1} and {p2}")
     a1, b1, a2, b2 = pool1.reserve_a, pool1.reserve_b, pool2.reserve_a, pool2.reserve_b
     _check_scale(
         max(trace.amounts, default=0.0),

@@ -86,6 +86,11 @@ class TestPoolVolumes:
         with pytest.raises(ValueError):
             pool_volumes(params, 1.5)
 
+    def test_out_of_range_share_named_with_its_value(self):
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.0)
+        with pytest.raises(ValueError, match=r"^l1 must lie in \[0, 1\], got -0\.25$"):
+            pool_volumes(params, -0.25)
+
 
 class TestLpRoi:
     def test_equal_when_no_take_rates(self):

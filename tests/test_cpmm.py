@@ -19,6 +19,8 @@ from takerate.cpmm import (
     optimal_split,
     quote,
 )
+from takerate.simulation import replay_trades
+from traces import trace_of
 
 
 def swap_out(a, b, f, x):
@@ -270,6 +272,18 @@ class TestArbitrage:
         pool2 = PoolState(170066.0626664822, 179065.71308903766, fee=0.03)
         assert arbitrage(pool1, pool2) is None
 
+    def test_swapped_pools_mirror_the_frozen_trade(self):
+        # at most one direction clears the fee band, so swapping the pools
+        # runs the same float operations through the other direction
+        forward = arbitrage(PoolState(100.0, 100.0), PoolState(100.0, 121.0))
+        mirror = arbitrage(PoolState(100.0, 121.0), PoolState(100.0, 100.0))
+        assert mirror is not None
+        assert mirror.pool_in == 1
+        assert (mirror.amount_in, mirror.amount_mid, mirror.amount_out, mirror.profit) == (
+            forward.amount_in, forward.amount_mid, forward.amount_out, forward.profit
+        )
+        assert (mirror.pool1, mirror.pool2) == (forward.pool2, forward.pool1)
+
     def test_profit_matches_simulated_round_trip(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -341,3 +355,29 @@ class TestPoolStateValidation:
         name = next(k for k, v in kwargs.items() if not math.isfinite(v))
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             PoolState(**kwargs)
+
+    @pytest.mark.parametrize("name", ["reserve_a", "reserve_b", "fee_ledger_a", "fee_ledger_b"])
+    def test_rejects_negative_amounts_by_name_and_value(self, name):
+        kwargs = {"reserve_a": 1.0, "reserve_b": 1.0, name: -0.5}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and nonnegative, got -0\.5$"):
+            PoolState(**kwargs)
+
+
+class TestReservesRule:
+    """Every entry point that trades against pools applies the one reserves rule."""
+
+    ENTRY_POINTS = {
+        "quote": lambda p1, p2: (quote(p1, 1.0, A2B), quote(p2, 1.0, A2B)),
+        "optimal_split": lambda p1, p2: optimal_split([p1, p2], 1.0, A2B),
+        "arbitrage": arbitrage,
+        "replay_trades": lambda p1, p2: replay_trades(p1, p2, trace_of(("a2b", 1.0)), [0]),
+    }
+
+    @pytest.mark.parametrize("empty", [PoolState(0.0, 100.0), PoolState(100.0, 0.0)], ids=["no-a", "no-b"])
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_empty_pool_rejected(self, entry, side, empty):
+        full = PoolState(100.0, 100.0)
+        pools = (empty, full) if side == 1 else (full, empty)
+        with pytest.raises(ValueError, match=r"pool reserves must be positive, got \("):
+            self.ENTRY_POINTS[entry](*pools)

@@ -223,6 +223,11 @@ class TestGenerateTrades:
         with pytest.raises(ValueError):
             SyntheticSpec(n_trades=0)
 
+    @pytest.mark.parametrize("name, value", [("n_trades", 0), ("size_sigma", -1.0), ("direction_bias", 1.5)])
+    def test_bad_field_named_with_its_value(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
+            SyntheticSpec(**{name: value})
+
     def test_direction_bias_within_binomial_bound(self):
         spec = SyntheticSpec(n_trades=10_000, direction_bias=0.5, seed=8)
         trades = generate_trades(spec)
