@@ -296,6 +296,15 @@ class TestOptimalTakeRate:
             prev = t_star
 
 
+    def test_indeterminate_end_point_is_never_the_optimum(self):
+        # At t2 = 1 both pools pay LPs nothing at t1 = 1, so every split is an
+        # equilibrium there and revenue is undefined; below it pool 1 holds
+        # all liquidity and earns t1 * (1 - s2), so the optimum tends to 1.
+        params = ModelParams(t1=0.0, t2=1.0, s1=0.1, s2=0.2)
+        t_star, rev_star = optimal_take_rate(params)
+        assert 1.0 - 2e-6 < t_star < 1.0
+        assert rev_star == pytest.approx(t_star * (1.0 - 0.2), rel=1e-15)
+
     def test_scan_builds_no_model_params(self, monkeypatch):
         # the s2 > 0 scan runs on floats; params was validated when built
         params = ModelParams(t1=0.0, t2=0.167, s1=0.1, s2=0.05)
@@ -447,11 +456,20 @@ class TestEquilibriumCurve:
         with pytest.raises(ValueError, match="t1 must lie in"):
             equilibrium_curve(params, [0.5, t1])
 
+    def test_indeterminate_share_outside_unit_interval_rejected(self):
+        params = ModelParams(t1=0.0, t2=0.0, s1=0.1)
+        with pytest.raises(ValueError, match=r"^indeterminate_share must lie in \[0, 1\], got 1\.5$"):
+            equilibrium_curve(params, [0.5], indeterminate_share=1.5)
+
 
 class TestModelParamsValidation:
     def test_sticky_rates_must_fit(self):
         with pytest.raises(ValueError):
             ModelParams(t1=0.0, t2=0.0, s1=0.7, s2=0.4)
+
+    def test_take_rate_outside_unit_interval_named(self):
+        with pytest.raises(ValueError, match=r"^t1 must lie in \[0, 1\], got 1\.5$"):
+            ModelParams(t1=1.5, t2=0.0, s1=0.0)
 
     def test_negative_d_rejected(self):
         with pytest.raises(ValueError):

@@ -110,8 +110,7 @@ class TestSimulate:
     def test_outputs_and_agreement(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, FORK_CFG))
         report = cmd_simulate(
-            replace(cfg, take_step=0.05, liquidity_step=0.02), compare=True,
-            out_dir=tmp_path / "out",
+            replace(cfg, take_step=0.05, liquidity_step=0.02), out_dir=tmp_path / "out"
         )
         assert (tmp_path / "out" / "sweep.csv").exists()
         assert (tmp_path / "out" / "sweep.svg").exists()
@@ -121,6 +120,23 @@ class TestSimulate:
         assert abs(report.t1_star - 0.18) <= 0.05 + 1e-9
         header = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[0]
         assert header == "t1,l1,rev1,r1,r2,l1_ref,rev1_ref"
+
+    def test_compare_flag_changes_nothing(self, tmp_path, capsys):
+        # every run measures the gap to the closed form; --compare still parses
+        cfg_path = write_cfg(tmp_path, FORK_CFG)
+        runs = {}
+        for name, flags in (("plain", []), ("compare", ["--compare"])):
+            assert main(["simulate", str(cfg_path), *flags, "--take-step", "0.1",
+                         "--liquidity-step", "0.05", "--out-dir", str(tmp_path / name)]) == 0
+            runs[name] = capsys.readouterr().out.replace(str(tmp_path / name), "OUT")
+        assert runs["plain"] == runs["compare"]
+        assert "\ncompare: max |dl1| = " in runs["plain"]
+        for name in ("sweep.csv", "sweep.svg", "report.txt"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert plain == (tmp_path / "compare" / name).read_bytes(), name
+        report = (tmp_path / "plain" / "report.txt").read_text().splitlines()
+        assert any(line.startswith("max_abs_delta_l1_vs_analytical = ") for line in report)
+        assert any(line.startswith("max_abs_delta_rev1_vs_analytical = ") for line in report)
 
     def test_no_sticky_simulation_matches_analytics_exactly(self, tmp_path):
         # without sticky volume or liquidity the replay reproduces the
@@ -283,6 +299,25 @@ class TestErrors:
         out = tmp_path / "out"
         assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "error: f must be positive to simulate, got 0.0\n"
+        assert not out.exists()
+
+    def test_header_only_trace_has_nothing_to_simulate(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("direction,amount_in\n")
+        cfg_path = write_cfg(tmp_path, "t2 = 0.0\ns1 = 0.1\nf = 0.003\nL_total = 1e5\ntrace = empty.csv\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning):
+            assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the trace contains no trades; nothing to simulate\n"
+        assert not out.exists()
+
+    def test_file_trace_out_of_scale_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "huge.csv").write_text("direction,amount_in\na2b,1e300\n")
+        cfg_path = write_cfg(tmp_path, "t2 = 0.0\ns1 = 0.1\nf = 0.003\nL_total = 1e5\ntrace = huge.csv\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trades up to 1e+300 ")
+        assert err.endswith("; scale down the amounts in huge.csv or raise L_total\n")
         assert not out.exists()
 
     def test_oversized_trace_field(self, tmp_path, capsys):

@@ -316,6 +316,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="size_mu must be finite"):
             load_config(p)
 
+    def test_key_without_value_names_its_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("t2 =\n" + MINIMAL.replace("t2 = 0.167\n", ""))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: line 1: no value for key 't2'$"):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "key, value, kind", [("t2", "abc", "a number"), ("seed", "1.5", "an integer")]
+    )
+    def test_value_not_of_the_key_type_named(self, tmp_path, key, value, kind):
+        p = tmp_path / "c.cfg"
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ")]
+        p.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        message = f"{p}: key '{key}': not {kind}: '{value}'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text(MINIMAL + "t2 = 0.2\n")
@@ -398,6 +415,10 @@ class TestScenarioConfigValidation:
             ScenarioConfig(
                 t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", deviation_threshold=threshold
             )
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ConfigError, match="^trace must name a CSV file or 'synthetic'$"):
+            ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="")
 
     def test_sticky_sum(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,6 @@
 """Golden outputs: every file the CLI writes for the shipped configs is fixed.
 
-``simulate --compare`` and ``analyze`` run on each ``configs/*.cfg`` and the
+``simulate`` and ``analyze`` run on each ``configs/*.cfg`` and the
 SHA-256 of every file they write must equal the digest recorded in
 ``golden_outputs.json``.  A refactor that changes any output byte fails here,
 naming the config and the file.  After a deliberate output change, re-record
@@ -21,10 +21,7 @@ from takerate.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
-COMMANDS = {
-    "simulate": ["simulate", "--compare"],
-    "analyze": ["analyze"],
-}
+COMMANDS = ("analyze", "simulate")
 # The replays each config's simulate sweep runs, forked or not.  A bracket
 # reads an edge cell only once it reaches it; when every search also read
 # cells 1 and m-1 first, the sweeps ran 108, 158, 118, 111 and 4, and no
@@ -40,8 +37,7 @@ SWEEP_REPLAYS = {
 
 def digests(config: Path, command: str, out_dir: Path) -> dict[str, str]:
     """Run one CLI command on one config; SHA-256 of each file it wrote."""
-    args = COMMANDS[command]
-    assert main([args[0], str(config), *args[1:], "--out-dir", str(out_dir)]) == 0
+    assert main([command, str(config), "--out-dir", str(out_dir)]) == 0
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out_dir.iterdir())
@@ -52,7 +48,7 @@ def test_every_config_is_recorded():
     assert sorted(json.loads(GOLDEN.read_text())) == [c.name for c in CONFIGS]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
 def test_outputs_match_golden_digests(config, command, tmp_path, monkeypatch):
     tables = []
@@ -81,13 +77,13 @@ if __name__ == "__main__":
     record = {}
     for config in CONFIGS:
         record[config.name] = {}
-        for command in sorted(COMMANDS):
+        for command in COMMANDS:
             # the CLI's own summary lines would bury the changes
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
                 record[config.name][command] = digests(config, command, Path(tmp))
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     for name in sorted(old.keys() | record.keys()):
-        for command in sorted(COMMANDS):
+        for command in COMMANDS:
             before = old.get(name, {}).get(command, {})
             after = record.get(name, {}).get(command, {})
             for file in sorted(before.keys() | after.keys()):
