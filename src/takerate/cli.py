@@ -123,7 +123,9 @@ def cmd_analyze(config: ScenarioConfig, out_dir: str | Path = ".") -> RunReport:
     """Closed-form sweep: l1(t1), rev1(t1) and the optimal take rate."""
     curve = _analytic_curve(config, take_rate_grid(config.take_step))
     t1_star, rev1_star = optimal_take_rate(config.params)
-    l1_at_star = _analytic_curve(config, (t1_star,)).samples[0].l1
+    # the s2 = 0 closed form puts an indeterminate optimum on the edge of the
+    # full-liquidity branch, l1 = 1, where rev1 = t1
+    l1_at_star = equilibrium_curve(config.params, (t1_star,), 1.0)[0].l1
     report = RunReport(
         mode="analyze",
         config=config,
@@ -146,8 +148,6 @@ def cmd_simulate(
 ) -> RunReport:
     """Trade-level sweep over the take-rate grid, measured against the closed form."""
     trades = resolve_trades(config, base_dir=base_dir)
-    if not trades:
-        raise ConfigError("the trace contains no trades; nothing to simulate")
     try:
         curve = sweep_take_rate(
             config.params, trades, config.L_total, config.take_step, config.liquidity_step,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-import warnings
 from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -107,7 +106,10 @@ class ScenarioConfig:
 
 
 def load_trades(path: Union[str, Path]) -> Trace:
-    """Read a trace CSV, validating every row; a row's errors name the file line it ends on."""
+    """Read a trace CSV, validating every row; a row's errors name the file line it ends on.
+
+    A file with only its header gives an empty Trace.
+    """
     path = Path(path)
     a2b = bytearray()
     amounts = array("d")
@@ -164,8 +166,6 @@ def load_trades(path: Union[str, Path]) -> Trace:
             raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"{path}: {_not_utf8(path, exc)}") from None
-    if not amounts:
-        warnings.warn(f"trace file {path} contains no trades")
     # every row passed check_trade's rule above
     return Trace._of_checked(bytes(a2b), amounts)
 

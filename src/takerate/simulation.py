@@ -24,31 +24,22 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    1e-9 covering float rounding.  Nor does it look for an arbitrage after a
    trade split into both pools, which leaves their marginal rates equal.
    The tests hold both kernels to cpmm.
-3. find_equilibrium scans a discrete grid of liquidity splits for the point
-   where r1*(1+d) = r2, capturing full migration to either pool at the grid
-   edges.  The replay outcomes it reads come from a cell table keyed by grid
-   index 0..m, filled on first use: cells 1..m-1 replay two pools, and the
-   end cells 0 and m replay the single pool that holds all the liquidity.
+3. find_equilibrium narrows a bracket on a discrete grid of liquidity
+   splits to the point where r1*(1+d) = r2, capturing full migration to
+   either pool at the grid edges.  The replay outcomes it reads come from a
+   cell table keyed by grid index 0..m, filled on first use: cells 1..m-1
+   replay two pools, and the end cells 0 and m replay the single pool that
+   holds all the liquidity.  The table is the one place a simulation is set
+   up: it validates the inputs, labels the trace and sizes every cell's
+   pools.
 4. sweep_take_rate repeats the equilibrium search across a take-rate grid
    and reports the revenue curve.  A replay does not depend on t1, t2 or d,
    which enter only the residual (1-t1)*f*vol1/L1*(1+d) - (1-t2)*f*vol2/L2
    and rev1 = t1*vol1/V, so the sweep labels the trace once and one solve
    runs every take rate over the same table: each split is replayed at most
-   once per sweep.  The solve fills the table in rounds.  The first reads,
-   for each take rate, the two cells around the closed form's equilibrium
-   share, which usually hold the crossing.  Each round, every take rate's
-   bracket first moves past the cells already filled inside it, then reads
-   the two cells beside the crossing that both pools' volumes, interpolated
-   between the bracket's ends or extrapolated towards an end not read yet,
-   predict; a lone search usually takes one or two rounds.  A bracket reads
-   a grid edge only once it reaches it, so where the residual changes sign
-   more than once a search may stop at the crossing nearest the closed
-   form's share.  On a machine with two or more usable cores a round long
-   enough to pay for it forks one child, which replays every second new
-   cell of that round and is reaped before the round ends.  Without os.fork
-   or the cores, while another thread runs, on a short trace, or if a child
-   fails, every cell replays in this process; the result is the same.
-   Nothing needs configuring.
+   once per sweep.  _solve describes the rounds in which a search fills the
+   table.  On two or more cores a long round forks one child (see
+   _CellTable), which never changes a result; nothing needs configuring.
 
 Volumes are accounted in token-0 units; token-1 legs convert at the pool's
 pre-trade marginal price.  A pool's fee revenue is f times its volume, so
@@ -211,8 +202,6 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
     Deterministic for a given seed; with s1 = 0 or s2 = 0 the seed has no
     effect.
     """
-    if not trace:
-        raise ValueError("trace must not be empty")
     check_sticky_rates(s1, s2)
     labels = [0] * len(trace)
     if s1 + s2 == 0.0:
@@ -234,15 +223,10 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
     # sorted() is stable, so trace order breaks ties between equal sizes
     sticky = sorted((i for i, amount in enumerate(amounts) if amount < cut), key=amounts.__getitem__)
     sticky += islice((i for i, amount in enumerate(amounts) if amount == cut), taken - len(sticky))
-    if s2 == 0.0:
-        # all of it is pool 1's: no draw, so the seed has no effect, and no
-        # rounding in a shuffled running sum can hand a trade to pool 2
-        for i in sticky:
-            labels[i] = 1
-        return labels
-
     random.Random(seed).shuffle(sticky)
-    target_one = s1 / (s1 + s2) * sticky_volume
+    # with s2 = 0 all of it is pool 1's: no rounding in the shuffled running
+    # sum can reach an infinite target and hand a trade to pool 2
+    target_one = s1 / (s1 + s2) * sticky_volume if s2 else math.inf
     taken = 0.0
     for i in sticky:
         if taken < target_one:
@@ -528,27 +512,29 @@ def replay_trades(
 
 
 class _CellTable:
-    """Replay outcomes of one labelled trace, filled by liquidity split.
+    """One simulation's set-up and its replay outcomes, filled by liquidity split.
 
-    A replay depends on the split, the fee, L_total, the threshold and the
-    labels, but not on t1, t2 or d, so one table serves every take rate of a
-    sweep.  Cells are keyed by grid index i in 0..m, pool 1 holding shares[i]
-    of L_total.  Cells 1..m-1 replay both pools through the module-level
-    _replay_two; cell 0 (all liquidity in pool 2) and cell m (all in pool 1)
-    replay the surviving pool through _replay_single.  The table holds the
-    caller's trace, not a copy, and its labels from assign_sticky, one
-    8-byte list slot per trade: every replay reads the two side by side.
+    The table validates the inputs, refuses an empty trace and one out of
+    scale with L_total, labels the trace once with assign_sticky and sizes
+    every cell's pools: sizes[i] = (L1, L2), pool 1 holding shares[i] of
+    L_total.  A replay depends on the split, the fee, L_total, the threshold
+    and the labels, but not on t1, t2 or d, so one table serves every take
+    rate of a sweep.  Cells are keyed by grid index i in 0..m.  Cells 1..m-1
+    replay both pools through the module-level _replay_two; cell 0 (all
+    liquidity in pool 2) and cell m (all in pool 1) replay the surviving
+    pool through _replay_single.  The table holds the caller's trace, not a
+    copy, and its labels, one 8-byte list slot per trade: every replay reads
+    the two side by side.  _solve chooses the cells each fill asks for.
 
-    A round forks one child of this process if the cells lent to it times
+    A fill forks one child of this process if the cells lent to it times
     the trace length reach _FORK_MIN_WORK trade replays, os.fork exists, two
     cores are usable and no other thread runs.  The child inherits the
     labelled trace, replays every second missing cell and writes the
     outcomes back, while this process replays the others; fill reaps the
-    child before it returns or raises.  So on a long trace a lone search
-    forks its rounds of two cells too.  If the fork fails or the
-    child dies or replies badly, this process replays the child's cells too:
-    the outcomes are the same either way, and nothing carries over to the
-    next round.
+    child before it returns or raises.  If the fork fails or the child dies
+    or replies badly, this process replays the child's cells too: the
+    outcomes are the same either way, and nothing carries over to the next
+    fill.
     """
 
     def __init__(
@@ -566,16 +552,18 @@ class _CellTable:
         check_deviation_threshold(deviation_threshold)
         if params.f <= 0.0:
             raise ValueError(f"f must be positive to simulate, got {params.f}")
+        if not trace:
+            raise ValueError("the trace contains no trades; nothing to simulate")
         self.shares = unit_grid(liquidity_step)
         self.m = len(self.shares) - 1
-        self.L_total = L_total
+        # (L1, L2), each pool's liquidity in each cell
+        self.sizes = [(s * L_total, (1.0 - s) * L_total) for s in self.shares]
         self.f = params.f
         self.threshold = deviation_threshold
         self.total_volume = _volume(trace.amounts)
         # the smallest pool: pool 1 at cell 1 or pool 2 at cell m-1
-        L_min = min(self.shares[1], 1.0 - self.shares[-2]) * L_total
-        largest = max(trace.amounts, default=0.0)
-        _check_scale(largest, self.total_volume, L_total, L_min, "L_total")
+        L_min = min(self.sizes[1][0], self.sizes[-2][1])
+        _check_scale(max(trace.amounts), self.total_volume, L_total, L_min, "L_total")
         self.replays = 0  # replays run, here or in a child
         self.cells: dict[int, SimOutcome] = {}  # by index; only fill writes it
         self.trace = trace
@@ -616,13 +604,11 @@ class _CellTable:
 
     def _replay(self, i: int) -> SimOutcome:
         self.replays += 1
-        if i == 0 or i == self.m:
-            return _replay_single(
-                self.L_total, self.L_total, self.f, self.trace, self.labels,
-                own_label=1 if i == self.m else 2,
-            )
-        L1 = self.shares[i] * self.L_total
-        L2 = (1.0 - self.shares[i]) * self.L_total
+        L1, L2 = self.sizes[i]
+        if i == 0:
+            return _replay_single(L2, L2, self.f, self.trace, self.labels, own_label=2)
+        if i == self.m:
+            return _replay_single(L1, L1, self.f, self.trace, self.labels, own_label=1)
         return _replay_two(
             L1, L1, self.f, L2, L2, self.f, self.trace, self.labels, self.threshold
         )[0]
@@ -734,13 +720,12 @@ def _solve(
     changes sign once, that does not depend on which cells were read; where
     it changes sign more than once, the search stops at one crossing, an
     edge cell or a pair of neighbours whose residuals change sign, usually
-    the one nearest the closed form's share.  rois is where a
-    replay's volumes become fees: pool i earns f * volume_i, so
-    r_i = (1-t_i) * f * volume_i / L_i, None for an empty pool.  Each take
-    rate's EquilibriumResult is built once, after the loop, with
-    rev1 = t1 * volume_1 / V, V the trace volume.
+    the one nearest the closed form's share.  rois is where a replay's
+    volumes become fees: pool i earns f * volume_i, so
+    r_i = (1-t_i) * f * volume_i / L_i, L_i from table.sizes, None for an
+    empty pool.  Each take rate's EquilibriumResult is built once, after the
+    loop, with rev1 = t1 * volume_1 / V, V the trace volume.
     """
-    L_total = table.L_total
     f = table.f
     shares = table.shares
     one_minus_t2 = 1.0 - params.t2
@@ -748,8 +733,7 @@ def _solve(
 
     def rois(t1: float, i: int) -> tuple[Optional[float], Optional[float]]:
         o = table.cells[i]
-        L1 = shares[i] * L_total
-        L2 = (1.0 - shares[i]) * L_total
+        L1, L2 = table.sizes[i]
         return (
             (1.0 - t1) * (f * o.volume_1) / L1 if L1 > 0.0 else None,
             one_minus_t2 * (f * o.volume_2) / L2 if L2 > 0.0 else None,
@@ -868,18 +852,12 @@ def find_equilibrium(
     the one with the smaller |r1*(1+d) - r2| is returned, ties within 1e-12
     going to the larger share.  If pool 1 is still the better deal at 1-step
     the result is l1 = 1 (full migration, a single-pool replay with
-    r2 = None), and symmetrically l1 = 0 with r1 = None.  The residual falls
-    with the share, so the crossing is located by narrowing a bracket
-    instead of evaluating every cell (see _solve).  The first round reads
-    the two cells around the closed-form share
-    (analytical.equilibrium_share), which usually hold the crossing, so a
-    search usually takes one or two rounds; the closed form chooses only
-    which cells are read, not the result, wherever the residual changes sign
-    once.  Cells 1 and m-1, and the end cells, are read only once the
-    bracket reaches them; where the residual changes sign more than once,
-    the result is one of its crossings, usually the one nearest the closed
-    form.  On two or more cores and a long trace those rounds fork (see
-    _CellTable); the result is the same.
+    r2 = None), and symmetrically l1 = 0 with r1 = None.  Where the residual
+    changes sign more than once, the result is one of its crossings.  The
+    cell table validates the inputs and refuses an empty trace (ValueError)
+    or one out of scale with L_total (TraceScaleError).  _solve describes
+    which cells the search reads; forking (see _CellTable) never changes the
+    result.
     """
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)
     return _solve(params, (params.t1,), table)[0]
@@ -902,11 +880,10 @@ def sweep_take_rate(
     t1 times pool 1's fees f * volume_1 over V * f.  The trace is labelled
     once and one solve runs every take rate over the same cell table, so
     each sample equals find_equilibrium at that take rate and seed wherever
-    the residual changes sign once (where it changes sign more than once,
-    either returns one of the crossings, and a grid edge is read only once a
-    bracket reaches it).  Each round of the solve narrows every take rate's
-    bracket, and on two or more cores it forks a child that replays half of
-    the round's new cells (see _CellTable).
+    the residual changes sign once; where it changes sign more than once,
+    either returns one of the crossings.  Inputs are checked as for
+    find_equilibrium, and take_step too.  _solve describes the search;
+    forking never changes the result.
     """
     grid = take_rate_grid(take_step)
     table = _CellTable(params, trace, L_total, liquidity_step, seed, deviation_threshold)

@@ -45,6 +45,8 @@ size_mu = 3.0
 seed = 7
 """
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     p = tmp_path / name
@@ -101,9 +103,20 @@ class TestAnalyze:
         cmd_analyze(sticky, out_dir=tmp_path / "sticky")
         report = cmd_analyze(tie, out_dir=tmp_path / "tie")
         assert calls == []
-        assert report.l1_at_star == 0.5  # the CLI's share for an indeterminate point
+        assert report.l1_at_star == 1.0  # an indeterminate optimum is the full-liquidity edge
         replace(sticky.params, t1=0.5)
         assert len(calls) == 1  # the counter itself is live
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[c.stem for c in SHIPPED_CONFIGS])
+    def test_report_optimum_agrees_with_itself(self, config, tmp_path):
+        # rev1 = t1 * v1 with v1 = s1 + (1 - s1 - s2) * l1; the no-sticky tie
+        # used to report l1_at_star = 0.5 beside rev1_star = t1_star
+        cfg = load_config(config)
+        assert main(["analyze", str(config), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        star = dict(line.split(" = ") for line in lines if " = " in line)
+        t1, rev1, l1 = (float(star[k]) for k in ("t1_star", "rev1_star", "l1_at_star"))
+        assert rev1 == pytest.approx(t1 * (cfg.s1 + (1.0 - cfg.s1 - cfg.s2) * l1))
 
 
 class TestSimulate:
@@ -305,8 +318,7 @@ class TestErrors:
         (tmp_path / "empty.csv").write_text("direction,amount_in\n")
         cfg_path = write_cfg(tmp_path, "t2 = 0.0\ns1 = 0.1\nf = 0.003\nL_total = 1e5\ntrace = empty.csv\n")
         out = tmp_path / "out"
-        with pytest.warns(UserWarning):
-            assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "error: the trace contains no trades; nothing to simulate\n"
         assert not out.exists()
 

@@ -132,8 +132,6 @@ def load_checking_every_row(path):
                 amounts.append(amount)
         except csv.Error as exc:
             raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not amounts:
-        warnings.warn(f"trace file {path} contains no trades")
     return Trace(bytes(a2b), amounts)  # the constructor checks every trade again
 
 
