@@ -390,7 +390,7 @@ def solve_equilibrium(params: ModelParams) -> EquilibriumResult:
     (result,) = equilibrium_curve(params, (params.t1,))
     if result is None:
         raise IndeterminateEquilibriumError(
-            "every liquidity split satisfies the balance condition "
-            "(no sticky volume and matched take-rate attractiveness)"
+            "every liquidity split satisfies the balance condition (no loyal volume "
+            "pays either pool's LPs, and routed volume is nil or pays both pools alike)"
         )
     return result

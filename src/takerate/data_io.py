@@ -166,8 +166,7 @@ def load_trades(path: Union[str, Path]) -> Trace:
             raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"{path}: {_not_utf8(path, exc)}") from None
-    # every row passed check_trade's rule above
-    return Trace._of_checked(bytes(a2b), amounts)
+    return Trace(bytes(a2b), amounts)
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
@@ -209,7 +208,7 @@ def generate_trades(spec: SyntheticSpec) -> Trace:
             amounts.append(rng.lognormvariate(spec.size_mu, spec.size_sigma))
         return Trace(bytes(a2b), amounts)
     except (OverflowError, ValueError):
-        # exp() overflowed, or Trace's check_trade rejected a size of inf or 0.0
+        # exp() overflowed, or the Trace constructor rejected a size of inf or 0.0
         raise ValueError(
             f"size_mu = {spec.size_mu} with size_sigma = {spec.size_sigma} draws "
             "trade sizes outside the positive finite float range"

@@ -61,7 +61,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from itertools import islice
 from typing import BinaryIO, Iterable, Optional, Sequence
 
@@ -104,8 +104,20 @@ def check_trade(direction: str, amount_in: float) -> None:
     """Raise ValueError unless direction is a2b or b2a and amount_in is finite and positive."""
     if direction not in ("a2b", "b2a"):
         raise ValueError(f"unknown direction: {direction!r}")
-    if not (amount_in > 0.0 and math.isfinite(amount_in)):
-        raise ValueError(f"amount_in must be finite and positive, got {amount_in}")
+    _checked_sum((amount_in,))
+
+
+def _checked_sum(amounts: Iterable[float]) -> float:
+    """Sum amounts left to right, each checked finite and positive.
+
+    The loop is the sum: from Python 3.12 on, sum() rounds differently.
+    """
+    total, inf = 0.0, math.inf
+    for amount in amounts:
+        if not 0.0 < amount < inf:
+            raise ValueError(f"amount_in must be finite and positive, got {amount}")
+        total += amount
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,12 +125,14 @@ class Trace:
     """A trade trace held as two flat columns: 9 bytes per trade.
 
     a2b holds one byte per trade, 1 for a2b and 0 for b2a, and amounts holds
-    each trade's amount_in, in its input asset, as a C double.  Loyalty is
-    not part of a trace: assign_sticky's labels travel beside it.
+    each trade's amount_in, in its input asset, as a C double.  volume, the
+    amounts' sum, is derived from them and takes no part in equality.
+    Loyalty is not part of a trace: assign_sticky's labels travel beside it.
     """
 
     a2b: bytes
     amounts: array
+    volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # other column types could compare equal and still hash apart, or not hash
@@ -132,33 +146,13 @@ class Trace:
             raise ValueError(f"a2b has {len(self.a2b)} entries for {len(self.amounts)} amounts")
         if self.a2b.translate(None, b"\x00\x01"):
             raise ValueError("a2b must hold 1 (a2b) or 0 (b2a) for each trade")
-        for is_a2b, amount in zip(self.a2b, self.amounts):
-            check_trade("a2b" if is_a2b else "b2a", amount)
+        object.__setattr__(self, "volume", _checked_sum(amounts))
 
     def __len__(self) -> int:
         return len(self.amounts)
 
     def __hash__(self) -> int:
         return hash((self.a2b, self.amounts.tobytes()))
-
-    @classmethod
-    def _of_checked(cls, a2b: bytes, amounts: array) -> Trace:
-        """A Trace of equal-length columns whose every trade has passed check_trade.
-
-        It skips __post_init__, which would check each trade a second time.
-        """
-        trace = object.__new__(cls)
-        object.__setattr__(trace, "a2b", a2b)
-        object.__setattr__(trace, "amounts", amounts)
-        return trace
-
-
-def _volume(amounts: array) -> float:
-    """The trace volume, summed left to right: from Python 3.12 on, sum() rounds differently."""
-    total = 0.0
-    for amount in amounts:
-        total += amount
-    return total
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
         return labels
 
     amounts = trace.amounts
-    target_all = (s1 + s2) * _volume(amounts)
+    target_all = (s1 + s2) * trace.volume
     # the prefix takes `taken` trades and ends at size `cut`; sizes alone
     # give its volume, so only its indices need sorting
     sticky_volume = 0.0
@@ -466,7 +460,7 @@ def replay_trades(
     a1, b1, a2, b2 = pool1.reserve_a, pool1.reserve_b, pool2.reserve_a, pool2.reserve_b
     _check_scale(
         max(trace.amounts, default=0.0),
-        _volume(trace.amounts),
+        trace.volume,
         max(a1 + a2, b1 + b2),
         math.sqrt(min(a1 * b1, a2 * b2)),
         "the pools' combined reserves",
@@ -560,7 +554,7 @@ class _CellTable:
         self.sizes = [(s * L_total, (1.0 - s) * L_total) for s in self.shares]
         self.f = params.f
         self.threshold = deviation_threshold
-        self.total_volume = _volume(trace.amounts)
+        self.total_volume = trace.volume
         # the smallest pool: pool 1 at cell 1 or pool 2 at cell m-1
         L_min = min(self.sizes[1][0], self.sizes[-2][1])
         _check_scale(max(trace.amounts), self.total_volume, L_total, L_min, "L_total")

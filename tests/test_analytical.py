@@ -8,6 +8,7 @@ checked against a dense grid argmax over that oracle.
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -157,6 +158,21 @@ class TestEquilibriumShare:
         params = ModelParams(t1=0.1, t2=0.1, s1=0.0, s2=0.0, d=0.0)
         with pytest.raises(IndeterminateEquilibriumError):
             equilibrium_share(params)
+
+    @pytest.mark.parametrize(
+        "t1, t2, s1, s2",
+        [(0.2, 0.2, 0.0, 0.0), (1.0, 0.3, 1.0, 0.0), (0.4, 1.0, 0.0, 1.0), (1.0, 1.0, 0.3, 0.7)],
+        ids=["no_loyal_tie", "all_loyal_to_1", "all_loyal_to_2", "all_loyal_split"],
+    )
+    def test_indeterminate_names_its_cause(self, t1, t2, s1, s2):
+        # loyal volume may exist, so long as it pays neither pool's LPs
+        params = ModelParams(t1=t1, t2=t2, s1=s1, s2=s2)
+        cause = re.escape(
+            "(no loyal volume pays either pool's LPs, and routed volume is nil or pays both pools alike)"
+        )
+        for solve in (equilibrium_share, protocol_revenue, solve_equilibrium):
+            with pytest.raises(IndeterminateEquilibriumError, match=cause):
+                solve(params)
 
     def test_winner_take_all_no_sticky(self):
         low = ModelParams(t1=0.1, t2=0.2, s1=0.0, s2=0.0, d=0.0)

