@@ -10,15 +10,12 @@ files and the command line.
 """
 
 from .analytical import (
-    DegeneratePoolError,
     EquilibriumResult,
     IndeterminateEquilibriumError,
     ModelParams,
     equilibrium_curve,
     equilibrium_share,
-    lp_roi,
     optimal_take_rate,
-    pool_volumes,
     protocol_revenue,
     solve_equilibrium,
 )
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArbTrade",
     "ConfigError",
-    "DegeneratePoolError",
     "EquilibriumResult",
     "IndeterminateEquilibriumError",
     "ModelParams",
@@ -80,10 +76,8 @@ __all__ = [
     "generate_trades",
     "load_config",
     "load_trades",
-    "lp_roi",
     "optimal_split",
     "optimal_take_rate",
-    "pool_volumes",
     "protocol_revenue",
     "quote",
     "replay_trades",

@@ -43,10 +43,6 @@ class IndeterminateEquilibriumError(ValueError):
     """Every liquidity split is an equilibrium; no unique share exists."""
 
 
-class DegeneratePoolError(ValueError):
-    """An operation needed both pools nonempty but one has no liquidity."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Scenario tuple driving both the analytical model and the simulation.
@@ -110,24 +106,6 @@ class EquilibriumResult:
     r1: Optional[float]
     r2: Optional[float]
     rev1: float
-
-
-def pool_volumes(params: ModelParams, l1: float) -> tuple[float, float]:
-    """Each pool's volume as a share of V: sticky share plus pro-rata routed share."""
-    if not 0.0 <= l1 <= 1.0:
-        raise ValueError(f"l1 must lie in [0, 1], got {l1}")
-    routed = 1.0 - params.s1 - params.s2
-    return params.s1 + routed * l1, params.s2 + routed * (1.0 - l1)
-
-
-def lp_roi(params: ModelParams, l1: float) -> tuple[float, float]:
-    """LP return on investment per pool, r_i = (1-t_i)*f*v_i/l_i (V/L_total divided out)."""
-    if l1 == 0.0 or l1 == 1.0:
-        raise DegeneratePoolError("ROI is undefined for an empty pool (l1 at 0 or 1)")
-    v1, v2 = pool_volumes(params, l1)
-    r1 = (1.0 - params.t1) * v1 * params.f / l1
-    r2 = (1.0 - params.t2) * v2 * params.f / (1.0 - l1)
-    return r1, r2
 
 
 def equilibrium_share(params: ModelParams) -> float:
@@ -209,11 +187,6 @@ def _equilibrium_shares(
             l1 = 1.0
         append(l1)
     return shares
-
-
-def revenue_at(params: ModelParams, l1: float) -> float:
-    """Normalized protocol revenue rev1 = t1*(s1 + (1-s1-s2)*l1) at share l1."""
-    return params.t1 * (params.s1 + (1.0 - params.s1 - params.s2) * l1)
 
 
 def protocol_revenue(params: ModelParams) -> float:
@@ -345,12 +318,14 @@ def equilibrium_curve(
 ) -> list[Optional[EquilibriumResult]]:
     """solve_equilibrium at every take rate of t1s; params.t1 is ignored.
 
-    This is the one place the closed-form curve is computed.  The shares come
-    from one _equilibrium_shares pass, and v1/v2, r1/r2 and rev1 from the
-    expressions of pool_volumes, lp_roi and revenue_at, so each sample equals
-    solve_equilibrium(replace(params, t1=t1)) field for field
-    without a ModelParams per point.  A take rate where every split is an
-    equilibrium gives None, or the sample at indeterminate_share if given.
+    This is the one place the closed-form curve is computed, and the one
+    place its formulas are written: each pool's volume share
+    v_i = s_i + (1-s1-s2)*l_i, its LP ROI r_i = (1-t_i)*f*v_i/l_i (None for
+    an empty pool) and the revenue rev1 = t1*v1.  The shares come from one
+    _equilibrium_shares pass, so each sample equals
+    solve_equilibrium(replace(params, t1=t1)) field for field without a
+    ModelParams per point.  A take rate where every split is an equilibrium
+    gives None, or the sample at indeterminate_share if given.
     """
     for t1 in t1s:
         if not 0.0 <= t1 <= 1.0:

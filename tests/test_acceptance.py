@@ -16,7 +16,6 @@ import pytest
 from takerate.analytical import (
     ModelParams,
     equilibrium_share,
-    lp_roi,
     optimal_take_rate,
     protocol_revenue,
 )
@@ -271,7 +270,9 @@ def test_criterion_9_invariant_suite():
         l1 = equilibrium_share(params)
         if not 0.0 < l1 < 1.0:
             continue
-        r1, r2 = lp_roi(params, l1)
+        routed = 1.0 - s1 - s2
+        r1 = (1.0 - params.t1) * (s1 + routed * l1) * params.f / l1
+        r2 = (1.0 - params.t2) * (s2 + routed * (1.0 - l1)) * params.f / (1.0 - l1)
         assert abs(r1 * (1.0 + params.d) - r2) / r2 < 1e-9
         checked += 1
 

@@ -14,18 +14,14 @@ from dataclasses import replace
 import pytest
 
 from takerate.analytical import (
-    DegeneratePoolError,
     EquilibriumResult,
     IndeterminateEquilibriumError,
     ModelParams,
     check_step,
     equilibrium_curve,
     equilibrium_share,
-    lp_roi,
     optimal_take_rate,
-    pool_volumes,
     protocol_revenue,
-    revenue_at,
     solve_equilibrium,
     take_rate_grid,
 )
@@ -56,62 +52,77 @@ def oracle_share(t1, t2, s1, s2, d):
     return 0.5 * (lo + hi)
 
 
+def point_sample(params, l1):
+    """One curve sample at share l1, from the paper's formulas written here.
+
+    v_i = s_i + (1-s1-s2)*l_i, r_i = (1-t_i)*f*v_i/l_i (None for an empty
+    pool) and rev1 = t1*v1, each in the float operations and order the
+    library uses, so a curve sample must equal this one exactly.
+    """
+    t1, t2, s1, s2, f = params.t1, params.t2, params.s1, params.s2, params.f
+    routed = 1.0 - s1 - s2
+    v1 = s1 + routed * l1
+    v2 = s2 + routed * (1.0 - l1)
+    if 0.0 < l1 < 1.0:
+        r1 = (1.0 - t1) * v1 * f / l1
+        r2 = (1.0 - t2) * v2 * f / (1.0 - l1)
+    else:
+        r1 = r2 = None
+    return EquilibriumResult(t1=t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=t1 * v1)
+
+
 class TestPoolVolumes:
+    """Each pool's volume share on the curve: its loyal share plus its
+    liquidity share of the routed volume."""
+
     def test_pure_proportional(self):
+        # nothing loyal and t1 = t2: every split is an equilibrium
         params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0)
-        assert pool_volumes(params, 0.3) == (pytest.approx(0.3), pytest.approx(0.7))
+        (s,) = equilibrium_curve(params, [0.0], indeterminate_share=0.3)
+        assert (s.v1, s.v2) == (pytest.approx(0.3), pytest.approx(0.7))
 
     def test_only_sticky_reaches_empty_pool(self):
+        # t1 = 1 pays pool 1's LPs nothing, so they all leave
         params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.0)
-        v1, v2 = pool_volumes(params, 0.0)
-        assert v1 == pytest.approx(0.1)
-        assert v2 == pytest.approx(0.9)
+        (s,) = equilibrium_curve(params, [1.0])
+        assert s.l1 == 0.0
+        assert s.v1 == pytest.approx(0.1)
+        assert s.v2 == pytest.approx(0.9)
 
     def test_mixed_sticky(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.1, s2=0.05)
-        v1, v2 = pool_volumes(params, 0.5)
-        assert v1 == pytest.approx(0.525)
-        assert v2 == pytest.approx(0.475)
+        # both take rates 1: no LP earns anything, so every split is an equilibrium
+        params = ModelParams(t1=0.0, t2=1.0, s1=0.1, s2=0.05)
+        (s,) = equilibrium_curve(params, [1.0], indeterminate_share=0.5)
+        assert s.v1 == pytest.approx(0.525)
+        assert s.v2 == pytest.approx(0.475)
 
     def test_volumes_sum_to_total(self):
         rng = random.Random(2)
         for _ in range(100):
             s1 = rng.uniform(0.0, 0.6)
             s2 = rng.uniform(0.0, 1.0 - s1)
-            params = ModelParams(t1=0.2, t2=0.1, s1=s1, s2=s2)
-            v1, v2 = pool_volumes(params, rng.random())
-            assert v1 + v2 == pytest.approx(1.0, rel=1e-9)
-
-    def test_out_of_range_share_rejected(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.0)
-        with pytest.raises(ValueError):
-            pool_volumes(params, 1.5)
-
-    def test_out_of_range_share_named_with_its_value(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.0)
-        with pytest.raises(ValueError, match=r"^l1 must lie in \[0, 1\], got -0\.25$"):
-            pool_volumes(params, -0.25)
+            params = ModelParams(t1=0.0, t2=0.1, s1=s1, s2=s2)
+            for s in equilibrium_curve(params, [rng.random() for _ in range(5)]):
+                assert s.v1 + s.v2 == pytest.approx(1.0, rel=1e-9)
 
 
 class TestLpRoi:
+    """LP ROIs on the curve at a tie, where indeterminate_share sets the split:
+    with nothing loyal and t1 = t2 = t, every pool pays (1-t)*f per unit of
+    liquidity at every split."""
+
     def test_equal_when_no_take_rates(self):
         params = ModelParams(t1=0.0, t2=0.0, s1=0.0, s2=0.0, f=0.003)
         for l1 in (0.2, 0.5, 0.9):
-            r1, r2 = lp_roi(params, l1)
-            assert r1 == pytest.approx(0.003, rel=1e-12)
-            assert r2 == pytest.approx(r1, rel=1e-12)
+            (s,) = equilibrium_curve(params, [0.0], indeterminate_share=l1)
+            assert s.r1 == pytest.approx(0.003, rel=1e-12)
+            assert s.r2 == pytest.approx(s.r1, rel=1e-12)
 
     def test_take_rate_halves_roi(self):
-        params = ModelParams(t1=0.5, t2=0.0, s1=0.0, s2=0.0, f=0.003)
-        r1, r2 = lp_roi(params, 0.5)
-        assert r1 == pytest.approx(1.5e-3, rel=1e-12)
-        assert r2 == pytest.approx(3.0e-3, rel=1e-12)
-
-    def test_degenerate_share_rejected(self):
-        params = ModelParams(t1=0.0, t2=0.0, s1=0.1)
-        for l1 in (0.0, 1.0):
-            with pytest.raises(DegeneratePoolError):
-                lp_roi(params, l1)
+        params = ModelParams(t1=0.0, t2=0.5, s1=0.0, s2=0.0, f=0.003)
+        (s,) = equilibrium_curve(params, [0.5], indeterminate_share=0.5)
+        assert s.r1 == pytest.approx(1.5e-3, rel=1e-12)
+        assert s.r2 == pytest.approx(1.5e-3, rel=1e-12)
 
 
 class TestEquilibriumShare:
@@ -221,7 +232,8 @@ class TestEquilibriumShare:
             l1 = equilibrium_share(params)
             if not 0.0 < l1 < 1.0:
                 continue
-            r1, r2 = lp_roi(params, l1)
+            sample = point_sample(params, l1)
+            r1, r2 = sample.r1, sample.r2
             assert abs(r1 * (1.0 + params.d) - r2) / r2 < 1e-9
             checked += 1
 
@@ -370,15 +382,6 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(params)
         assert res.l1 == 1.0
         assert res.r1 is None and res.r2 is None
-
-
-def point_sample(params, l1):
-    """One curve sample at share l1, from the per-point public functions."""
-    v1, v2 = pool_volumes(params, l1)
-    r1, r2 = lp_roi(params, l1) if 0.0 < l1 < 1.0 else (None, None)
-    return EquilibriumResult(
-        t1=params.t1, l1=l1, v1=v1, v2=v2, r1=r1, r2=r2, rev1=revenue_at(params, l1)
-    )
 
 
 class TestEquilibriumCurve:

@@ -35,7 +35,6 @@ from takerate.analytical import (
     equilibrium_share,
     optimal_take_rate,
     protocol_revenue,
-    revenue_at,
     take_rate_grid,
     unit_grid,
 )
@@ -236,8 +235,9 @@ def reference_optimal_take_rate(params, take_step=0.001):
         try:
             return protocol_revenue(at_t1)
         except IndeterminateEquilibriumError:
-            if 1.0 - params.s1 - params.s2 <= 1e-12:
-                return revenue_at(at_t1, 0.0)
+            routed = 1.0 - params.s1 - params.s2
+            if routed <= 1e-12:
+                return t1 * (params.s1 + routed * 0.0)
             return -math.inf
 
     grid = take_rate_grid(take_step)

@@ -1,11 +1,13 @@
-"""README's "Library use" example runs and prints what its comments say, and
-its config example sets every key the config parser accepts."""
+"""README's "Library use" example runs and prints what its comments say, its
+config example sets every key the config parser accepts, and it names every
+public name of the package."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+import takerate
 from takerate.data_io import KEY_TYPES, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,3 +40,12 @@ def test_config_example_sets_every_key_the_parser_accepts(tmp_path):
     lines = (line.split("#", 1)[0] for line in text.splitlines())
     keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
     assert sorted(keys) == sorted(KEY_TYPES)
+
+
+def test_every_public_name_is_named():
+    text = README.read_text()
+    missing = [
+        name for name in takerate.__all__
+        if not name.startswith("__") and not re.search(rf"`{name}\b", text)
+    ]
+    assert missing == []
