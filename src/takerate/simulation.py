@@ -255,6 +255,11 @@ def _replay_two(a1, b1, f1, a2, b2, f2, trace, labels, threshold):
     amt * m therefore cannot reroute: it executes in its own pool with no
     split solved.  Any other loyal trade solves the split and compares.
 
+    After each trade it runs at most one arbitrage round trip, as
+    cpmm.arbitrage does, against cpmm's profit floor: _MIN_PROFIT_SCALE
+    times the pools' current token-0 reserves.  So a replay resumed from
+    the reserves a shorter one returned decides as one call over both.
+
     A trade split into both pools (x1 > 0 and x2 > 0) leaves their marginal
     rates in its direction equal: g1 * out1 / in1 = g2 * out2 / in2 after
     the trade.  A round trip pays only while nd / dd exceeds 1, and at equal
@@ -272,7 +277,6 @@ def _replay_two(a1, b1, f1, a2, b2, f2, trace, labels, threshold):
     vol1 = vol2 = 0.0
     arb_vol1 = arb_vol2 = 0.0
     arb_count = rerouted = 0
-    min_profit = _MIN_PROFIT_SCALE * (a1 + a2)
 
     for is_a2b, amt, lab in zip(trace.a2b, trace.amounts, labels):
         if is_a2b:
@@ -340,49 +344,36 @@ def _replay_two(a1, b1, f1, a2, b2, f2, trace, labels, threshold):
             # a split into both pools left their marginal rates equal, so no
             # round trip clears the fee band
             continue
-        # Arbitrage round trip in token-0; at most one direction can clear
-        # the fee band.
-        nd = a1 * g1 * g2 * b2
-        dd = a2 * b1
-        if nd > dd:
-            # token-0 into pool 2, token-1 proceeds back through pool 1
-            x = (sqrt(nd * dd) - dd) / (g2 * (b1 + g1 * b2))
-            if x > 0.0:
-                mid = b2 * g2 * x / (a2 + g2 * x)
-                back = a1 * g1 * mid / (b1 + g1 * mid)
-                if back - x > min_profit:
-                    v2_ = x
-                    v1_ = mid * a1 / b1
-                    a2 += g2 * x
-                    b2 -= mid
-                    b1 += g1 * mid
-                    a1 -= back
-                    vol2 += v2_
-                    arb_vol2 += v2_
-                    vol1 += v1_
-                    arb_vol1 += v1_
-                    arb_count += 1
+        # Arbitrage round trip in token-0, as cpmm.arbitrage runs it: token-0
+        # goes into pool i, the token-1 proceeds come back through pool j, and
+        # pool 2 is tried as i first; at most one direction clears the band.
+        into2 = a1 * g1 * g2 * b2 > a2 * b1
+        if into2:
+            ai, bi, gi, aj, bj, gj = a2, b2, g2, a1, b1, g1
+        elif a2 * g1 * g2 * b1 > a1 * b2:
+            ai, bi, gi, aj, bj, gj = a1, b1, g1, a2, b2, g2
         else:
-            nd = a2 * g1 * g2 * b1
-            dd = a1 * b2
-            if nd > dd:
-                # token-0 into pool 1, token-1 proceeds back through pool 2
-                x = (sqrt(nd * dd) - dd) / (g1 * (b2 + g2 * b1))
-                if x > 0.0:
-                    mid = b1 * g1 * x / (a1 + g1 * x)
-                    back = a2 * g2 * mid / (b2 + g2 * mid)
-                    if back - x > min_profit:
-                        v1_ = x
-                        v2_ = mid * a2 / b2
-                        a1 += g1 * x
-                        b1 -= mid
-                        b2 += g2 * mid
-                        a2 -= back
-                        vol1 += v1_
-                        arb_vol1 += v1_
-                        vol2 += v2_
-                        arb_vol2 += v2_
-                        arb_count += 1
+            continue
+        nd = aj * g1 * g2 * bi
+        dd = ai * bj
+        x = (sqrt(nd * dd) - dd) / (gi * (bj + gj * bi))
+        mid = bi * gi * x / (ai + gi * x)
+        back = aj * gj * mid / (bj + gj * mid)
+        if x > 0.0 and back - x > _MIN_PROFIT_SCALE * (a1 + a2):
+            vj = mid * aj / bj
+            ai += gi * x
+            bi -= mid
+            bj += gj * mid
+            aj -= back
+            if into2:
+                a1, b1, a2, b2, v1, v2 = aj, bj, ai, bi, vj, x
+            else:
+                a1, b1, a2, b2, v1, v2 = ai, bi, aj, bj, x, vj
+            vol1 += v1
+            arb_vol1 += v1
+            vol2 += v2
+            arb_vol2 += v2
+            arb_count += 1
 
     outcome = SimOutcome(
         volume_1=vol1, volume_2=vol2, arb_count=arb_count, rerouted_count=rerouted,

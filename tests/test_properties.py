@@ -3,7 +3,8 @@ that checks every row in full, closed-form outputs stay in range, the
 float-level scan equals its one-dataclass-per-point reference and finds the
 closed-form s2 > 0 optimum, sticky labels follow the size-ordered prefix
 rule and equal that rule written out by sorting every trade, the two-pool
-replay kernel makes the decisions of the cpmm-composed reference replay,
+replay kernel makes the decisions of the cpmm-composed reference replay
+and, cut at a trade and resumed from its reserves, those of one whole call,
 the equilibrium search's round loop finds a crossing of the residual, on
 real replays and on any residuals,
 a sweep scaled by a power of two is the same sweep, volumes scaled, with
@@ -450,8 +451,20 @@ def two_pool_replays(draw):
     return PoolState(L1, L1, fee=f1), PoolState(L2, L2, fee=f2), trace, labels, threshold
 
 
+# Both pools take half of a large trade, then a trade loyal to pool 1 opens a
+# round trip.  The profit floor, MIN_PROFIT_SCALE times the pools' token-0
+# reserves, is 2e-9 at the start.  After the first trade, where
+# cpmm.arbitrage takes it, it is 1.197e-8, above the profit of 4.89e-9 ...
+POOL = PoolState(1000.0, 1000.0, fee=0.003)
+FLOOR_GROWS = (POOL, POOL, trace_of(("a2b", 10000.0), ("a2b", 18.0709042382371)), [0, 1], 0.1)
+# ... or 3.34e-10, below the profit of 8.18e-10
+FLOOR_SHRINKS = (POOL, POOL, trace_of(("b2a", 10000.0), ("b2a", 18.082051959858592)), [0, 1], 0.1)
+
+
 @PROPERTY
 @given(two_pool_replays())
+@example(FLOOR_GROWS)
+@example(FLOOR_SHRINKS)
 # a loyal trade into a tiny pool that reroutes
 @example(
     (PoolState(100.0, 100.0, fee=0.003), PoolState(1e4, 1e4, fee=0.001),
@@ -476,6 +489,42 @@ def test_two_pool_kernel_matches_the_reference_replay(replay):
     assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
     for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):
         assert math.isclose(getattr(out, field), getattr(ref, field), rel_tol=1e-9), field
+
+
+@st.composite
+def split_replays(draw):
+    """A two-pool replay and the trade at which to cut it in two."""
+    replay = draw(two_pool_replays())
+    return replay, draw(st.integers(min_value=0, max_value=len(replay[2])))
+
+
+@PROPERTY
+@given(split_replays())
+@example((FLOOR_GROWS, 1))
+@example((FLOOR_SHRINKS, 1))
+def test_a_replay_cut_at_a_trade_equals_the_whole_replay(split):
+    (pool1, pool2, trace, labels, threshold), cut = split
+
+    def replay(reserves, start, stop):
+        """_replay_two over trades start:stop from ((a1, b1), (a2, b2))."""
+        (a1, b1), (a2, b2) = reserves
+        piece = Trace(trace.a2b[start:stop], trace.amounts[start:stop])
+        return simulation._replay_two(
+            a1, b1, pool1.fee, a2, b2, pool2.fee, piece, labels[start:stop], threshold
+        )
+
+    # the second piece starts from the reserves the first returns, as one
+    # epoch of a longer replay starts from the last
+    start = ((pool1.reserve_a, pool1.reserve_b), (pool2.reserve_a, pool2.reserve_b))
+    whole, *end = replay(start, 0, len(trace))
+    head, *middle = replay(start, 0, cut)
+    tail, *split_end = replay(middle, cut, len(trace))
+    assert split_end == end
+    assert head.arb_count + tail.arb_count == whole.arb_count
+    assert head.rerouted_count + tail.rerouted_count == whole.rerouted_count
+    for field in ("volume_1", "volume_2", "arb_volume_1", "arb_volume_2"):
+        total = getattr(head, field) + getattr(tail, field)
+        assert math.isclose(total, getattr(whole, field), rel_tol=1e-12), field
 
 
 def at_a_crossing(res, m, i):

@@ -14,6 +14,7 @@ import threading
 import tracemalloc
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,9 @@ from takerate.data_io import (
     ScenarioConfig,
     SyntheticSpec,
     generate_trades,
+    load_config,
     load_trades,
+    resolve_trades,
     save_trades,
 )
 from takerate.simulation import (
@@ -44,6 +47,8 @@ from takerate.simulation import (
     sweep_take_rate,
 )
 from traces import trace_of
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def lognormal_trace(n, median, sigma=1.0, bias=0.5, seed=123):
@@ -323,6 +328,9 @@ class TestReplayAgainstCpmm:
         "fees", [(0.003, 0.003), (0.003, 0.001), (1e-9, 1e-9), (0.003, 1e-9)]
     )
     def test_each_trade_matches_the_reference_replay(self, fees):
+        # The kernel restarts from the reference's pools at every trade, so
+        # this test cannot see state a replay carries across trades; the
+        # whole-trace test below can.
         rng = random.Random(2204)
         trades = lognormal_trace(300, 50.0, sigma=1.5, seed=5)
         labels = [rng.choice([0, 0, 1, 2]) for _ in range(len(trades))]
@@ -344,6 +352,25 @@ class TestReplayAgainstCpmm:
             pool1, pool2 = ref1, ref2
         # both the arbitrage and the reroute branches ran
         assert min(tallies) > 0
+
+    @pytest.mark.parametrize("cell", [1, -2], ids=["cell 1", "cell m-1"])
+    def test_a_whole_trace_matches_the_reference_replay(self, cell):
+        # a shipped config's 10,000 trades and labels at the grid's most
+        # unequal splits, pool 1 holding 0.005 and 0.995 of L_total
+        config = load_config(CONFIGS / "established_competitor_sticky.cfg")
+        trace = resolve_trades(config)
+        threshold = config.deviation_threshold
+        table = simulation._CellTable(
+            config.params, trace, config.L_total, config.liquidity_step, config.seed, threshold
+        )
+        L1, L2 = table.sizes[cell]
+        pool1, pool2 = PoolState(L1, L1, fee=config.f), PoolState(L2, L2, fee=config.f)
+        ref = replay_trades(pool1, pool2, trace, table.labels, threshold)[0]
+        out = replay_two(pool1, pool2, trace, table.labels, threshold)[0]
+        assert (out.arb_count, out.rerouted_count) == (ref.arb_count, ref.rerouted_count)
+        assert out.arb_count > 0
+        for field in VOLUMES:
+            assert getattr(out, field) == pytest.approx(getattr(ref, field), rel=1e-9), field
 
     @pytest.mark.parametrize("above", [True, False])
     @pytest.mark.parametrize(
