@@ -166,7 +166,10 @@ def load_trades(path: Union[str, Path]) -> Trace:
             raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"{path}: {_not_utf8(path, exc)}") from None
-    return Trace(bytes(a2b), amounts)
+    try:
+        return Trace(bytes(a2b), amounts)
+    except ValueError as exc:  # every row passed, so the amounts' total overflowed
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
@@ -208,10 +211,11 @@ def generate_trades(spec: SyntheticSpec) -> Trace:
             amounts.append(rng.lognormvariate(spec.size_mu, spec.size_sigma))
         return Trace(bytes(a2b), amounts)
     except (OverflowError, ValueError):
-        # exp() overflowed, or the Trace constructor rejected a size of inf or 0.0
+        # exp() overflowed, or the Trace constructor rejected a size of inf
+        # or 0.0, or a total of inf
         raise ValueError(
             f"size_mu = {spec.size_mu} with size_sigma = {spec.size_sigma} draws "
-            "trade sizes outside the positive finite float range"
+            "trade sizes, or a total of them, outside the positive finite float range"
         ) from None
 
 

@@ -7,7 +7,7 @@ The pipeline mirrors the analytical model but replays an actual trade trace:
    The rule works on trade sizes alone and returns one label per trade
    (0 routed, 1 or 2 loyal); labels live beside the trace, never in it.  It
    sorts the sizes to find where the loyal prefix ends, and then only the
-   indices of that prefix.
+   indices of trades no larger than its last one.
 2. A replay runs a trace with its labels: loyal trades execute in their
    pool unless the outcome is badly worse than optimal routing, everything
    else is split optimally, and after every trade the profitable arbitrage
@@ -62,7 +62,6 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, field
-from itertools import islice
 from typing import BinaryIO, Iterable, Optional, Sequence
 
 from .analytical import (
@@ -108,7 +107,7 @@ def check_trade(direction: str, amount_in: float) -> None:
 
 
 def _checked_sum(amounts: Iterable[float]) -> float:
-    """Sum amounts left to right, each checked finite and positive.
+    """Sum amounts left to right, each checked finite and positive, to a finite total.
 
     The loop is the sum: from Python 3.12 on, sum() rounds differently.
     """
@@ -117,6 +116,8 @@ def _checked_sum(amounts: Iterable[float]) -> float:
         if not 0.0 < amount < inf:
             raise ValueError(f"amount_in must be finite and positive, got {amount}")
         total += amount
+    if total == inf:
+        raise ValueError("the amounts sum past the float range: the trace volume is not finite")
     return total
 
 
@@ -204,7 +205,7 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
     amounts = trace.amounts
     target_all = (s1 + s2) * trace.volume
     # the prefix takes `taken` trades and ends at size `cut`; sizes alone
-    # give its volume, so only its indices need sorting
+    # give its volume, so only the indices up to `cut` need sorting
     sticky_volume = 0.0
     taken = 0
     cut = 0.0
@@ -215,8 +216,8 @@ def assign_sticky(trace: Trace, s1: float, s2: float, seed: int = 0) -> list[int
         taken += 1
         sticky_volume += amount
     # sorted() is stable, so trace order breaks ties between equal sizes
-    sticky = sorted((i for i, amount in enumerate(amounts) if amount < cut), key=amounts.__getitem__)
-    sticky += islice((i for i, amount in enumerate(amounts) if amount == cut), taken - len(sticky))
+    sticky = sorted((i for i, amount in enumerate(amounts) if amount <= cut), key=amounts.__getitem__)
+    del sticky[taken:]
     random.Random(seed).shuffle(sticky)
     # with s2 = 0 all of it is pool 1's: no rounding in the shuffled running
     # sum can reach an infinite target and hand a trade to pool 2
@@ -314,33 +315,32 @@ def _replay_two(a1, b1, f1, a2, b2, f2, trace, labels, threshold):
                 split = best - direct > threshold * best
                 if split:
                     rerouted += 1
-        if split:
-            y1, y2 = x1, x2
-        elif lab == 1:
-            y1, y2, o1 = amt, 0.0, direct
-        else:
-            y1, y2, o2 = 0.0, amt, direct
+        if not split:
+            if lab == 1:
+                x1, x2, o1 = amt, 0.0, direct
+            else:
+                x1, x2, o2 = 0.0, amt, direct
 
         if is_a2b:
-            if y1 > 0.0:
-                a1 += g1 * y1
+            if x1 > 0.0:
+                a1 += g1 * x1
                 b1 -= o1
-                vol1 += y1
-            if y2 > 0.0:
-                a2 += g2 * y2
+                vol1 += x1
+            if x2 > 0.0:
+                a2 += g2 * x2
                 b2 -= o2
-                vol2 += y2
+                vol2 += x2
         else:
-            if y1 > 0.0:
-                vol1 += y1 * a1 / b1
-                b1 += g1 * y1
+            if x1 > 0.0:
+                vol1 += x1 * a1 / b1
+                b1 += g1 * x1
                 a1 -= o1
-            if y2 > 0.0:
-                vol2 += y2 * a2 / b2
-                b2 += g2 * y2
+            if x2 > 0.0:
+                vol2 += x2 * a2 / b2
+                b2 += g2 * x2
                 a2 -= o2
 
-        if y1 > 0.0 and y2 > 0.0:
+        if x1 > 0.0 and x2 > 0.0:
             # a split into both pools left their marginal rates equal, so no
             # round trip clears the fee band
             continue
@@ -545,10 +545,9 @@ class _CellTable:
         self.sizes = [(s * L_total, (1.0 - s) * L_total) for s in self.shares]
         self.f = params.f
         self.threshold = deviation_threshold
-        self.total_volume = trace.volume
         # the smallest pool: pool 1 at cell 1 or pool 2 at cell m-1
         L_min = min(self.sizes[1][0], self.sizes[-2][1])
-        _check_scale(max(trace.amounts), self.total_volume, L_total, L_min, "L_total")
+        _check_scale(max(trace.amounts), trace.volume, L_total, L_min, "L_total")
         self.replays = 0  # replays run, here or in a child
         self.cells: dict[int, SimOutcome] = {}  # by index; only fill writes it
         self.trace = trace
@@ -815,7 +814,7 @@ def _solve(
         r1, r2 = rois(t1, i)
         results.append(EquilibriumResult(
             t1=t1, l1=shares[i], v1=o.volume_1 - o.arb_volume_1, v2=o.volume_2 - o.arb_volume_2,
-            r1=r1, r2=r2, rev1=t1 * o.volume_1 / table.total_volume,
+            r1=r1, r2=r2, rev1=t1 * o.volume_1 / table.trace.volume,
         ))
     return results
 

@@ -332,6 +332,17 @@ class TestErrors:
         assert err.endswith("; scale down the amounts in huge.csv or raise L_total\n")
         assert not out.exists()
 
+    def test_file_trace_summing_past_the_float_range_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "huge.csv").write_text("direction,amount_in\na2b,1e308\na2b,1e308\n")
+        cfg_path = write_cfg(tmp_path, "t2 = 0.0\ns1 = 0.1\nf = 0.003\nL_total = 1e5\ntrace = huge.csv\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'huge.csv'}: the amounts sum past the float range: "
+            "the trace volume is not finite\n"
+        )
+        assert not out.exists()
+
     def test_oversized_trace_field(self, tmp_path, capsys):
         # csv's field limit raises csv.Error, which used to escape as a traceback
         (tmp_path / "big.csv").write_text("direction,amount_in\nb2a," + "1" * 200_000 + "\n")

@@ -81,6 +81,13 @@ class TestLoadTrades:
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trades(p)
 
+    def test_amounts_summing_past_the_float_range_name_the_file(self, tmp_path):
+        # every row is finite, but the trace volume is not
+        p = tmp_path / "huge.csv"
+        p.write_text("direction,amount_in\na2b,1e308\na2b,1e308\n")
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(p))}: the amounts sum past the float range"):
+            load_trades(p)
+
     def test_bad_direction_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("direction,amount_in\na2b,1\nsideways,2\n")
@@ -209,6 +216,11 @@ class TestTrace:
         with pytest.raises(ValueError, match="amount_in must be finite and positive"):
             Trace(b"\x01", array("d", [amount]))
 
+    def test_constructor_rejects_a_volume_of_inf(self):
+        # with V = inf, assign_sticky would label every trade loyal
+        with pytest.raises(ValueError, match="the trace volume is not finite"):
+            Trace(bytes(4), array("d", [1e308, 1e308, 1.0, 2.0]))
+
     def test_save_writes_the_loaded_bytes_back(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_trades(a, generate_trades(SyntheticSpec(n_trades=500, seed=9)))
@@ -237,6 +249,10 @@ class TestGenerateTrades:
     def test_bad_field_named_with_its_value(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
             SyntheticSpec(**{name: value})
+
+    def test_sizes_summing_past_the_float_range_named(self):
+        with pytest.raises(ValueError, match="^size_mu = 709 .* or a total of them, outside"):
+            generate_trades(SyntheticSpec(n_trades=3, size_mu=709, size_sigma=0))
 
     def test_direction_bias_within_binomial_bound(self):
         spec = SyntheticSpec(n_trades=10_000, direction_bias=0.5, seed=8)

@@ -165,7 +165,7 @@ class TestVolume:
     def test_every_reader_of_the_volume_sums_left_to_right(self):
         trace = trace_of(("a2b", 1e16), ("b2a", 1.0), ("a2b", 1.0))
         params = ModelParams(t1=0.1, t2=0.0, s1=0.1, f=0.003)
-        assert simulation._CellTable(params, trace, 1e14, 0.5, 0, 0.1).total_volume == 1e16
+        assert simulation._CellTable(params, trace, 1e14, 0.5, 0, 0.1).trace.volume == 1e16
 
 
 class TestSimulateTrades:
@@ -488,7 +488,7 @@ class TestFindEquilibrium:
             # ties within 1e-12 go to the larger share
             least = min(abs(r) for r in res.values())
             best = max(i for i, r in res.items() if abs(r) <= least + 1e-12)
-        rev1 = params.t1 * table.cells[best].volume_1 / table.total_volume
+        rev1 = params.t1 * table.cells[best].volume_1 / table.trace.volume
         return table.shares[best], rev1
 
     def test_bracketing_matches_full_scan(self):
@@ -677,7 +677,8 @@ class HiddenCellTable:
         self.shares = shares
         self.m = len(shares) - 1
         self.sizes = [(s, 1.0 - s) for s in shares]
-        self.f = self.total_volume = 1.0
+        self.f = 1.0
+        self.trace = trace_of(("a2b", 1.0))  # V = 1
         self.cells = {}
         self.hidden = dict(enumerate(outcomes))
         self.rounds = []
